@@ -9,7 +9,7 @@
 /// Production scale means thousands of concurrent sessions, not one big
 /// frame: the TenantServer multiplexes N independent GameWorld instances
 /// over one simulated machine and its resident-worker pool. Robustness
-/// comes in three layers (DESIGN.md §13):
+/// comes in three layers (DESIGN.md §12):
 ///
 ///   admission control — a per-tick cycle-budget ledger admits, defers
 ///   or (via each world's own FrameBudgetCycles ladder) sheds tenants

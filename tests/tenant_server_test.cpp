@@ -10,7 +10,7 @@
 // serving is bit-identical — checksums, frame cycles AND counter deltas
 // — to running the worlds sequentially), admission-control fairness,
 // per-tenant fault isolation with core recycling, and the quarantine
-// ladder. DESIGN.md §13 describes the model.
+// ladder. DESIGN.md §12 describes the model.
 //
 //===----------------------------------------------------------------------===//
 

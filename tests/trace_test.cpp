@@ -23,11 +23,15 @@
 #include "trace/TraceRecorder.h"
 
 #include "dmacheck/DmaRaceChecker.h"
+#include "offload/JobQueue.h"
 #include "offload/Offload.h"
+#include "offload/Parcel.h"
+#include "offload/Ptr.h"
 #include "support/OStream.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -266,6 +270,67 @@ uint64_t runWorkload(Machine &M) {
   return Sum;
 }
 
+/// A resident-pool workload: a job queue with a skewed tail (steal
+/// probes and transfers when the machine steals), then a three-stage
+/// Ring-parcel dataflow over the same words. \returns a checksum of the
+/// output and the clocks between the two regions.
+uint64_t runPoolWorkload(Machine &M) {
+  constexpr uint32_t Count = 256;
+  OuterPtr<uint64_t> Data(M.allocGlobal(Count * sizeof(uint64_t)));
+  JobQueueOptions Jobs;
+  Jobs.ChunkSize = 8;
+  distributeJobs(M, Count, Jobs, [&](auto &Ctx, uint32_t Begin, uint32_t End) {
+    for (uint32_t I = Begin; I != End; ++I) {
+      Ctx.compute(I > Count - Count / 8 ? 20000 : 200);
+      Ctx.outerWrite((Data + I).addr(), uint64_t{I} * 2654435761u);
+    }
+  });
+  // The next region's launch merges every clock forward, so fold the
+  // clocks in here; a perturbed idle worker would vanish otherwise.
+  uint64_t Sum = 0;
+  for (unsigned A = 0; A != M.numAccelerators(); ++A)
+    Sum = Sum * 31 + M.accel(A).Clock.now();
+  DataflowOptions Flow;
+  Flow.ChunkSize = 16;
+  Flow.NumStages = 3;
+  Flow.Policy = ParcelPolicy::Ring;
+  runDataflow(M, Count, Flow, [&](auto &Ctx, const WorkDescriptor &Desc) {
+    Ctx.compute((Desc.End - Desc.Begin) * 40);
+    for (uint32_t I = Desc.Begin; I != Desc.End; ++I) {
+      uint64_t V = Ctx.template outerRead<uint64_t>((Data + I).addr());
+      Ctx.outerWrite((Data + I).addr(), V * 33 + Desc.Kernel);
+    }
+  });
+  for (uint32_t I = 0; I != Count; ++I)
+    Sum += M.hostRead<uint64_t>((Data + I).addr()) * (I + 1);
+  return Sum;
+}
+
+/// Runs \p Workload on a plain and on a traced machine and expects the
+/// same output, clocks and PerfCounters (every word, host and each
+/// accelerator). \returns the dispatch events the recorder saw.
+template <typename WorkloadFn>
+std::vector<DispatchEvent> expectRecorderPassive(const MachineConfig &Cfg,
+                                                 WorkloadFn Workload) {
+  Machine Plain(Cfg), Traced(Cfg);
+  uint64_t PlainSum = Workload(Plain);
+  uint64_t TracedSum;
+  std::vector<DispatchEvent> Events;
+  {
+    trace::TraceRecorder Recorder(Traced);
+    TracedSum = Workload(Traced);
+    Events = Recorder.mailboxEvents();
+  }
+  EXPECT_EQ(PlainSum, TracedSum);
+  EXPECT_EQ(Plain.hostClock().now(), Traced.hostClock().now());
+  EXPECT_EQ(Plain.hostCounters(), Traced.hostCounters());
+  for (unsigned I = 0; I != Plain.numAccelerators(); ++I) {
+    EXPECT_EQ(Plain.accel(I).Clock.now(), Traced.accel(I).Clock.now());
+    EXPECT_EQ(Plain.accel(I).Counters, Traced.accel(I).Counters) << I;
+  }
+  return Events;
+}
+
 std::string slurp(const std::string &Path) {
   std::ifstream In(Path, std::ios::binary);
   std::ostringstream SS;
@@ -280,28 +345,19 @@ std::string slurp(const std::string &Path) {
 //===----------------------------------------------------------------------===//
 
 TEST(Trace, BitIdenticalWithAndWithoutRecorder) {
-  Machine Plain, Traced;
-  uint64_t PlainSum = runWorkload(Plain);
-  uint64_t TracedSum;
-  {
-    trace::TraceRecorder Recorder(Traced);
-    TracedSum = runWorkload(Traced);
-  }
-  EXPECT_EQ(PlainSum, TracedSum);
-  EXPECT_EQ(Plain.hostClock().now(), Traced.hostClock().now());
-  for (unsigned I = 0; I != Plain.config().NumAccelerators; ++I)
-    EXPECT_EQ(Plain.accel(I).Clock.now(), Traced.accel(I).Clock.now());
-
-  PerfCounters P = Plain.totalCounters(), T = Traced.totalCounters();
-  EXPECT_EQ(P.ComputeCycles, T.ComputeCycles);
-  EXPECT_EQ(P.DmaStallCycles, T.DmaStallCycles);
-  EXPECT_EQ(P.JoinStallCycles, T.JoinStallCycles);
-  EXPECT_EQ(P.dmaBytes(), T.dmaBytes());
-  EXPECT_EQ(P.dmaTransfers(), T.dmaTransfers());
-  EXPECT_EQ(P.LocalLoads, T.LocalLoads);
-  EXPECT_EQ(P.LocalStores, T.LocalStores);
-  EXPECT_EQ(P.HostLoads, T.HostLoads);
-  EXPECT_EQ(P.HostStores, T.HostStores);
+  expectRecorderPassive(MachineConfig::cellLike(), runWorkload);
+  // A stealing resident pool drives the dispatch, steal and parcel
+  // event sites as well.
+  MachineConfig Pooled = MachineConfig::cellLike();
+  Pooled.WorkStealing = StealPolicy::LocalityAware;
+  std::vector<DispatchEvent> Events =
+      expectRecorderPassive(Pooled, runPoolWorkload);
+  for (DispatchEventKind K :
+       {DispatchEventKind::DescriptorFetch, DispatchEventKind::StealTransfer,
+        DispatchEventKind::ParcelSpawn})
+    EXPECT_TRUE(std::any_of(Events.begin(), Events.end(),
+                            [K](const DispatchEvent &E) { return E.Kind == K; }))
+        << dispatchEventKindName(K);
 }
 
 //===----------------------------------------------------------------------===//
