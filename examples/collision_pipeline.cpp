@@ -20,9 +20,8 @@
 #include "dmacheck/DmaRaceChecker.h"
 #include "game/Collision.h"
 #include "offload/Offload.h"
+#include "support/Diag.h"
 #include "support/OStream.h"
-
-#include <cstdlib>
 
 using namespace omm;
 using namespace omm::game;
@@ -54,7 +53,8 @@ uint64_t runStyle(DmaStyle Style, uint32_t NumEntities, uint32_t *Contacts,
 } // namespace
 
 int main(int Argc, char **Argv) {
-  uint32_t NumEntities = Argc > 1 ? std::atoi(Argv[1]) : 400;
+  uint32_t NumEntities =
+      parseCountArg(Argc, Argv, 1, 400, "collision_pipeline [num_entities]");
   OStream &OS = outs();
 
   OS << "Figure 1: explicit DMA collision response, " << NumEntities

@@ -25,10 +25,10 @@
 #include "offload/DoubleBuffer.h"
 #include "offload/SetAssociativeCache.h"
 #include "offload/TaskSchedule.h"
+#include "support/Diag.h"
 #include "support/OStream.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 using namespace omm;
 using namespace omm::game;
@@ -36,7 +36,8 @@ using namespace omm::offload;
 using namespace omm::sim;
 
 int main(int Argc, char **Argv) {
-  uint32_t NumEntities = Argc > 1 ? std::atoi(Argv[1]) : 800;
+  uint32_t NumEntities =
+      parseCountArg(Argc, Argv, 1, 800, "frame_schedule [num_entities]");
   OStream &OS = outs();
 
   Machine M;

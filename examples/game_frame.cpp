@@ -26,6 +26,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "game/GameWorld.h"
+#include "support/Diag.h"
 #include "support/OStream.h"
 #include "trace/ChromeTrace.h"
 #include "trace/TimelineReport.h"
@@ -39,8 +40,9 @@ using namespace omm::game;
 using namespace omm::sim;
 
 int main(int Argc, char **Argv) {
-  uint32_t NumEntities = Argc > 1 ? std::atoi(Argv[1]) : 1000;
-  int Frames = Argc > 2 ? std::atoi(Argv[2]) : 5;
+  const char *Usage = "game_frame [num_entities] [frames]";
+  uint32_t NumEntities = parseCountArg(Argc, Argv, 1, 1000, Usage);
+  uint32_t Frames = parseCountArg(Argc, Argv, 2, 5, Usage);
   const char *TracePath = std::getenv("OMM_TRACE");
 
   GameWorldParams Params;
@@ -77,7 +79,7 @@ int main(int Argc, char **Argv) {
   OS << "state-match\n";
 
   uint64_t HostTotal = 0, OfflTotal = 0;
-  for (int Frame = 0; Frame != Frames; ++Frame) {
+  for (uint32_t Frame = 0; Frame != Frames; ++Frame) {
     FrameStats HostStats = HostWorld.doFrameHostOnly();
     FrameStats OfflStats = OfflWorld.doFrameOffloadAI();
     HostTotal += HostStats.FrameCycles;

@@ -21,10 +21,9 @@
 #include "offload/DoubleBuffer.h"
 #include "offload/Offload.h"
 #include "offload/ParallelFor.h"
+#include "support/Diag.h"
 #include "support/OStream.h"
 #include "support/Random.h"
-
-#include <cstdlib>
 
 using namespace omm;
 using namespace omm::offload;
@@ -126,7 +125,8 @@ uint64_t runVariant(int Variant, uint32_t Count, uint64_t *DmaStall) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  uint32_t Count = Argc > 1 ? std::atoi(Argv[1]) : 50000;
+  uint32_t Count =
+      parseCountArg(Argc, Argv, 1, 50000, "particle_stream [num_particles]");
   OStream &OS = outs();
   OS << "Particle integration on one accelerator, " << Count
      << " particles\n\n";

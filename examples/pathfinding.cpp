@@ -19,9 +19,9 @@
 #include "offload/Offload.h"
 #include "offload/SetAssociativeCache.h"
 #include "offload/StreamBuffer.h"
+#include "support/Diag.h"
 #include "support/OStream.h"
 
-#include <cstdlib>
 #include <memory>
 
 using namespace omm;
@@ -29,7 +29,7 @@ using namespace omm::game;
 using namespace omm::sim;
 
 int main(int Argc, char **Argv) {
-  uint32_t Size = Argc > 1 ? std::atoi(Argv[1]) : 48;
+  uint32_t Size = parseCountArg(Argc, Argv, 1, 48, "pathfinding [grid_size]");
   OStream &OS = outs();
 
   Machine M;

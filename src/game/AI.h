@@ -28,10 +28,13 @@ namespace omm::game {
 
 /// Tuning for the AI behaviour tree and its cost model.
 struct AiParams {
-  float SeekRadius = 40.0f;    ///< Start seeking targets inside this.
-  float AttackRadius = 6.0f;   ///< Close enough to attack.
-  float FleeHealthFraction = 0.25f; ///< Flee below this health fraction.
-  float ReplanInterval = 0.5f; ///< Seconds between full re-plans.
+  /// Start seeking targets inside this.
+  static constexpr float SeekRadius = 40.0f;
+  static constexpr float AttackRadius = 6.0f; ///< Close enough to attack.
+  /// Flee below this health fraction.
+  static constexpr float FleeHealthFraction = 0.25f;
+  /// Seconds between full re-plans.
+  static constexpr float ReplanInterval = 0.5f;
   uint64_t CyclesPerNode = 60; ///< Cost of one behaviour-tree node.
 };
 

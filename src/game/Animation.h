@@ -36,7 +36,8 @@ static_assert(sizeof(Pose) == 128 && sizeof(Pose) % 16 == 0);
 
 /// Tuning for pose blending.
 struct AnimationParams {
-  float BlendRate = 0.2f;          ///< Fraction moved toward the key.
+  /// Fraction moved toward the key.
+  static constexpr float BlendRate = 0.2f;
   uint64_t CyclesPerJoint = 24;    ///< Blend cost per joint.
 };
 

@@ -30,10 +30,11 @@ namespace omm::game {
 
 /// Tuning for collision detection and response.
 struct CollisionParams {
-  float CellSize = 8.0f;            ///< Broadphase grid cell edge.
+  static constexpr float CellSize = 8.0f; ///< Broadphase grid cell edge.
   uint64_t CyclesPerHash = 12;      ///< Cost of binning one entity.
   uint64_t CyclesPerPairTest = 30;  ///< Cost of one candidate pair test.
-  uint64_t CyclesPerResponse = 120; ///< Cost of resolving one contact.
+  /// Cost of resolving one contact.
+  static constexpr uint64_t CyclesPerResponse = 120;
 };
 
 /// Pure contact resolution (Figure 1's do_collision_response): if the

@@ -73,8 +73,10 @@ private:
 
 /// Cost model for the search itself.
 struct NavParams {
-  uint64_t CyclesPerExpand = 40;   ///< Heap pop + bookkeeping.
-  uint64_t CyclesPerNeighbour = 12; ///< Per edge relaxation.
+  /// Heap pop + bookkeeping.
+  static constexpr uint64_t CyclesPerExpand = 40;
+  /// Per edge relaxation.
+  static constexpr uint64_t CyclesPerNeighbour = 12;
 };
 
 /// Outcome of one A* query.

@@ -23,7 +23,7 @@ namespace omm::game {
 
 /// Tuning for the integrator.
 struct PhysicsParams {
-  float Damping = 0.995f;
+  static constexpr float Damping = 0.995f;
   uint64_t CyclesPerIntegrate = 80;
 };
 

@@ -42,7 +42,8 @@ static_assert(sizeof(RenderCommand) == 32 &&
 
 /// Cost model for command generation.
 struct RenderParams {
-  uint64_t CyclesPerCommand = 60; ///< Cull test + command encoding.
+  /// Cull test + command encoding.
+  static constexpr uint64_t CyclesPerCommand = 60;
   float ViewDir[3] = {0.577f, 0.577f, 0.577f}; ///< For depth keys.
   float CullRadius = 1000.0f; ///< Entities beyond this emit nothing.
 };

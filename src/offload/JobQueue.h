@@ -66,7 +66,7 @@ struct JobQueueOptions {
   bool Adaptive = false;
   /// Adaptive target: aim to cut the *remaining* range into about this
   /// many descriptors per live worker.
-  uint32_t TargetChunksPerWorker = 4;
+  static constexpr uint32_t TargetChunksPerWorker = 4;
 };
 
 /// Per-run statistics of a dynamic distribution.
@@ -147,7 +147,6 @@ JobRunStats distributeJobs(sim::Machine &M, uint32_t Count,
   if (Count == 0)
     return Stats;
   uint32_t ChunkSize = std::max(1u, Opts.ChunkSize);
-  uint32_t TargetPerWorker = std::max(1u, Opts.TargetChunksPerWorker);
 
   ResidentWorkerPool Pool(M, Opts.MaxWorkers, Opts.FirstAccelerator);
 
@@ -229,8 +228,9 @@ JobRunStats distributeJobs(sim::Machine &M, uint32_t Count,
       if (Opts.Adaptive && Pool.liveCount() > 0)
         // Guided self-scheduling: hand out 1/(target * workers) of what
         // remains, never below the configured floor.
-        Chunk = std::max(ChunkSize, Plan.remaining() /
-                                        (TargetPerWorker * Pool.liveCount()));
+        Chunk = std::max(ChunkSize,
+                         Plan.remaining() / (Opts.TargetChunksPerWorker *
+                                             Pool.liveCount()));
       Desc = Plan.chunk(Chunk);
     }
     if (Pool.liveCount() == 0) {

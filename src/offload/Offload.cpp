@@ -25,8 +25,6 @@ const char *offload::toString(OffloadStatus Status) {
     return "ok";
   case OffloadStatus::AcceleratorDead:
     return "accelerator_dead";
-  case OffloadStatus::LocalStoreExhausted:
-    return "local_store_exhausted";
   case OffloadStatus::NoAcceleratorAvailable:
     return "no_accelerator_available";
   case OffloadStatus::DeadlineExceeded:
@@ -55,33 +53,19 @@ offload::OffloadStatus offload::detail::classifyLaunch(Machine &M,
   }
 
   FaultInjector *FI = M.faults();
-  if (!FI)
+  if (!FI || !FI->launchFails(AccelId))
     return OffloadStatus::Ok;
-  switch (FI->classifyLaunch(AccelId)) {
-  case LaunchFault::None:
-    return OffloadStatus::Ok;
-  case LaunchFault::AcceleratorDeath: {
-    // The core accepts the launch, burns some cycles, and dies before
-    // the body's first instruction — mid-block from the machine's view,
-    // but before any side effect, so recovery can simply re-run the
-    // block elsewhere.
-    uint64_t Wasted = FI->killWastedCycles(AccelId);
-    Accel.Clock.mergeTo(std::max(Accel.FreeAt, Now) +
-                        M.config().OffloadLaunchCycles + Wasted);
-    Accel.FreeAt = Accel.Clock.now();
-    ++M.hostCounters().LaunchFaults;
-    M.killAccelerator(AccelId, BlockId);
-    return OffloadStatus::AcceleratorDead;
-  }
-  case LaunchFault::LocalStoreExhausted:
-    // The arena reservation fails before the core is disturbed; the
-    // core survives and stays schedulable.
-    ++M.hostCounters().LaunchFaults;
-    M.emitFault({FaultKind::LocalStoreExhausted, AccelId, BlockId, Now,
-                 /*Detail=*/0});
-    return OffloadStatus::LocalStoreExhausted;
-  }
-  return OffloadStatus::Ok;
+  // The core accepts the launch, burns some cycles, and dies before the
+  // body's first instruction — mid-block from the machine's view, but
+  // before any side effect, so recovery can simply re-run the block
+  // elsewhere.
+  uint64_t Wasted = FI->killWastedCycles(AccelId);
+  Accel.Clock.mergeTo(std::max(Accel.FreeAt, Now) +
+                      M.config().OffloadLaunchCycles + Wasted);
+  Accel.FreeAt = Accel.Clock.now();
+  ++M.hostCounters().LaunchFaults;
+  M.killAccelerator(AccelId, BlockId);
+  return OffloadStatus::AcceleratorDead;
 }
 
 offload::OffloadHandle offload::detail::failedHandle(Machine &M,

@@ -58,15 +58,14 @@ inline constexpr unsigned NoAccelerator = ~0u;
 
 /// Outcome of an offload launch. The runtime stopped assuming success
 /// when the fault injector arrived (MachineConfig::Faults): a launch can
-/// now find its core dead, fail to reserve its local-store arena, or
-/// have no core to go to at all. A non-Ok handle is still joinable —
-/// joining charges the host the fault-detection latency — but the block
-/// body never ran, so the caller must re-issue the work elsewhere
-/// (another accelerator, or the host).
+/// now find its core dead, hang past its deadline, or have no core to
+/// go to at all. A non-Ok handle is still joinable — joining charges the
+/// host the fault-detection latency — but the block body never ran, so
+/// the caller must re-issue the work elsewhere (another accelerator, or
+/// the host).
 enum class OffloadStatus : uint8_t {
   Ok,
   AcceleratorDead,       ///< The target core is (or just died) dead.
-  LocalStoreExhausted,   ///< The block arena could not be reserved.
   NoAcceleratorAvailable,///< Auto-pick found no live core.
   DeadlineExceeded,      ///< The block hung; the watchdog cancelled it
                          ///< and abandoned the core. Re-issue the work.

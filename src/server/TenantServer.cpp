@@ -160,8 +160,7 @@ void TenantServer::serveRoundRobin(const std::vector<unsigned> &Admitted,
     // inside the slice that wedged the core: the next tenant sees the
     // full pool again. Fault-free slices kill nothing, so this is a
     // no-op on the bit-identity path.
-    if (Params.RecycleCores)
-      TS.CoresRecycled += recycleDeadCores();
+    TS.CoresRecycled += recycleDeadCores();
   }
 }
 
@@ -226,8 +225,7 @@ void TenantServer::serveBatched(const std::vector<unsigned> &Admitted,
     game::FrameStats Frame = T.World->finishServedFrame();
     recordFrame(T, Frame, Before);
   }
-  if (Params.RecycleCores)
-    TS.CoresRecycled += recycleDeadCores();
+  TS.CoresRecycled += recycleDeadCores();
 }
 
 void TenantServer::serveQuarantined(const std::vector<unsigned> &HostOnly,

@@ -98,12 +98,12 @@ struct TenantServerParams {
   /// to the accelerator pool (its fault score resets); 0 means the
   /// demotion is permanent.
   uint32_t ProbationTicks = 0;
-  /// Recycle (revive) accelerators found dead after a slice: models the
-  /// supervisor restarting a wedged worker process so one tenant's hang
-  /// costs the pool a slice, not a core for the rest of the run.
-  bool RecycleCores = true;
   /// Host cycles charged per recycled core (supervisor restart work).
-  uint64_t CoreRestartCycles = 2000;
+  /// Accelerators found dead after a slice are always revived: this
+  /// models the supervisor restarting a wedged worker process, so one
+  /// tenant's hang costs the pool a slice, not a core for the rest of
+  /// the run.
+  static constexpr uint64_t CoreRestartCycles = 2000;
   /// Chunk width of the shared Batched dispatch.
   uint32_t BatchChunkElems = 32;
 };

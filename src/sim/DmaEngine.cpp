@@ -94,9 +94,7 @@ void DmaEngine::issue(DmaDir Dir, LocalAddr Local, GlobalAddr Global,
     Start = std::max(Start, lastCompletionForTag(Tag));
   else if (Order == Ordering::Barrier)
     Start = std::max(Start, maxCompletionAll());
-  uint64_t DataCycles = Config.DmaBytesPerCycle == 0
-                            ? 0
-                            : divideCeil(Size, Config.DmaBytesPerCycle);
+  uint64_t DataCycles = divideCeil(Size, Config.DmaBytesPerCycle);
   // Main memory lives in domain 0, so an engine on a remote-domain core
   // pays the inter-domain hop on every transfer (zero on flat machines).
   uint64_t Complete = Start + Config.DmaLatencyCycles +
@@ -237,9 +235,7 @@ void DmaEngine::issueList(DmaDir Dir, const ListElement *Elements,
   // One startup latency covers the whole list; the data phases of the
   // elements serialise on the engine channel.
   uint64_t Start = std::max(Now, ChannelFreeAt);
-  uint64_t DataCycles = Config.DmaBytesPerCycle == 0
-                            ? 0
-                            : divideCeil(TotalBytes, Config.DmaBytesPerCycle);
+  uint64_t DataCycles = divideCeil(TotalBytes, Config.DmaBytesPerCycle);
   // As in issue(): one inter-domain hop covers the whole list, just
   // like the single startup latency.
   uint64_t Complete = Start + Config.DmaLatencyCycles +

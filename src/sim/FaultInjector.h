@@ -7,8 +7,8 @@
 ///
 /// \file
 /// The machine's fault oracle: a seeded source of accelerator deaths,
-/// transient DMA command rejections, delayed transfer completions and
-/// local-store exhaustion, configured via MachineConfig::Faults. The
+/// transient DMA command rejections, delayed transfer completions, hangs
+/// and stragglers, configured via MachineConfig::Faults. The
 /// paper's premise (Section 2) is that explicit DMA and private stores
 /// make failure handling a first-class programming concern; this is the
 /// subsystem that lets the offload runtime's recovery paths be exercised
@@ -39,17 +39,9 @@
 
 namespace omm::sim {
 
-/// What the injector decided about one offload launch.
-enum class LaunchFault : uint8_t {
-  None,                ///< The launch proceeds normally.
-  AcceleratorDeath,    ///< The core dies starting the block.
-  LocalStoreExhausted, ///< The block arena cannot be reserved; the core
-                       ///< survives and the launch must be re-routed.
-};
-
 /// What the injector decided about one launch/descriptor's timing: it
 /// either wedges forever or runs slow by a cycle-cost multiplier
-/// (1.0 = on time). Orthogonal to the fail-stop LaunchFault verdicts.
+/// (1.0 = on time). Orthogonal to the fail-stop launchFails verdicts.
 struct TimingFault {
   bool Hangs = false;
   float Slowdown = 1.0f;
@@ -62,9 +54,9 @@ public:
 
   const FaultInjectionConfig &config() const { return Config; }
 
-  /// Classifies the next offload launch on \p AccelId. Scheduled kills
-  /// (scheduleKill) take precedence over the random rates.
-  LaunchFault classifyLaunch(unsigned AccelId);
+  /// \returns true if \p AccelId dies starting its next offload launch.
+  /// Scheduled kills (scheduleKill) take precedence over AccelDeathRate.
+  bool launchFails(unsigned AccelId);
 
   /// \returns true if \p AccelId dies popping its next job-queue chunk
   /// (mid-block death of a resident worker). Scheduled chunk kills

@@ -12,7 +12,6 @@
 #include "support/OStream.h"
 
 #include <algorithm>
-#include <cassert>
 using namespace omm;
 using namespace omm::sim;
 
@@ -62,7 +61,13 @@ Machine::Machine(const MachineConfig &Config)
     : Cfg(Config), Main(Config.MainMemorySize) {
   // NumAccelerators == 0 is legal: it models a host-only machine, and
   // the offload runtime's host-fallback paths must cope (JobQueue.h).
-  assert(Config.NumDmaTags <= 32 && "tag masks are 32 bits wide");
+  if (Config.DmaQueueDepth == 0)
+    reportFatalError("machine: DmaQueueDepth must be at least 1");
+  if (Config.DmaBytesPerCycle == 0)
+    reportFatalError("machine: DmaBytesPerCycle must be at least 1");
+  if (Config.Faults.StragglerSlowdownMin > Config.Faults.StragglerSlowdownMax)
+    reportFatalError("machine: Faults.StragglerSlowdownMin must not exceed "
+                     "Faults.StragglerSlowdownMax");
   if (Cfg.Faults.Enabled)
     Faults = std::make_unique<FaultInjector>(Cfg.Faults,
                                              Config.NumAccelerators);

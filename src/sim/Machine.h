@@ -64,6 +64,8 @@ public:
 /// The complete simulated machine.
 class Machine {
 public:
+  /// Builds the machine; a bad \p Config is a fatal error that names the
+  /// offending knob.
   explicit Machine(const MachineConfig &Config = MachineConfig::cellLike());
 
   Machine(const Machine &) = delete;

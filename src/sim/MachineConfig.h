@@ -10,9 +10,11 @@
 /// presets for the two memory architectures the paper contrasts: a Cell
 /// BE-like machine (host + accelerators with private 256 KB local stores
 /// and MFC DMA) and a traditional shared-memory machine (the "targets with
-/// traditional memory architectures" of Section 4.1). Experiments E1-E8
-/// sweep these fields; absolute values are calibrated to the published
-/// Cell BE figures (high-latency DMA, ~25 GB/s at 3.2 GHz = 8 bytes/cycle).
+/// traditional memory architectures" of Section 4.1). Experiments E1 and
+/// E8 sweep DmaLatencyCycles, and E8 sweeps DmaBytesPerCycle; facts of the
+/// Cell target (local-store size, MFC limits) are constants. Absolute
+/// values are calibrated to the published Cell BE figures (high-latency
+/// DMA, ~25 GB/s at 3.2 GHz = 8 bytes/cycle).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,11 +51,6 @@ struct FaultInjectionConfig {
   /// DmaDelayCycles (a congested or degraded link).
   float DmaDelayRate = 0.0f;
 
-  /// Probability that a launch fails because the accelerator cannot
-  /// reserve its block arena (local-store exhaustion). The core
-  /// survives; the launch must be retried or re-routed.
-  float LocalStoreFailRate = 0.0f;
-
   /// Probability that an offload launch / mailbox descriptor wedges
   /// forever (the kernel hang the watchdog exists for). A hang with no
   /// armed watchdog deadline is a fatal configuration error: nothing
@@ -66,7 +63,8 @@ struct FaultInjectionConfig {
   /// tail-latency straggler, not a fail-stop fault).
   float StragglerRate = 0.0f;
 
-  /// Inclusive range of the straggler slowdown multiplier.
+  /// Inclusive range of the straggler slowdown multiplier; the Machine
+  /// rejects Min > Max.
   float StragglerSlowdownMin = 2.0f;
   float StragglerSlowdownMax = 8.0f;
 
@@ -79,15 +77,15 @@ struct FaultInjectionConfig {
 
   /// Initial retry backoff after a rejected DMA command; doubles per
   /// consecutive rejection.
-  uint64_t DmaRetryBackoffCycles = 64;
+  static constexpr uint64_t DmaRetryBackoffCycles = 64;
 
   /// Host cycles between a faulted launch and the host observing the
   /// failure (the runtime watchdog's round trip).
-  uint64_t FaultDetectCycles = 400;
+  static constexpr uint64_t FaultDetectCycles = 400;
 
   /// A dying accelerator wastes a uniform [0, max] cycles of work
   /// before the fault detector declares it lost.
-  uint64_t KillWastedCyclesMax = 2000;
+  static constexpr uint64_t KillWastedCyclesMax = 2000;
 };
 
 /// What the runtime does when the watchdog flags a launch/descriptor
@@ -134,7 +132,7 @@ struct MachineConfig {
   unsigned NumAccelerators = 6;
 
   /// Bytes of private scratch-pad per accelerator (Cell SPE: 256 KB).
-  uint32_t LocalStoreSize = 256 * 1024;
+  static constexpr uint32_t LocalStoreSize = 256 * 1024;
 
   /// Bytes of main (outer/host) memory.
   uint64_t MainMemorySize = 64ull << 20;
@@ -142,45 +140,48 @@ struct MachineConfig {
   /// Required alignment, in bytes, for DMA transfers of AlignedSize or
   /// more. Smaller transfers must have a size in {1,2,4,8} and be
   /// naturally aligned (the Cell MFC rule).
-  uint32_t DmaAlignment = 16;
+  static constexpr uint32_t DmaAlignment = 16;
 
   /// Largest single DMA transfer (Cell MFC: 16 KB). Larger requests must
   /// be split by the caller (the offload runtime does this).
-  uint32_t MaxDmaTransferSize = 16 * 1024;
+  static constexpr uint32_t MaxDmaTransferSize = 16 * 1024;
 
   /// Number of DMA tag groups per accelerator (Cell MFC: 32).
-  unsigned NumDmaTags = 32;
+  static constexpr unsigned NumDmaTags = 32;
+  static_assert(NumDmaTags <= 32, "tag masks are 32 bits wide");
 
   /// Maximum in-flight transfers per accelerator DMA queue (Cell: 16).
   /// Issuing beyond this stalls the issuing core until a slot frees.
+  /// Must be at least 1; the Machine rejects 0.
   unsigned DmaQueueDepth = 16;
 
   /// Cycles the issuing core spends enqueueing one MFC command (the
   /// SPE writes ~5 channel registers per request). Charged per command:
   /// a DMA *list* pays it once for all its elements, which is the list
   /// form's advantage over issuing elements individually.
-  uint64_t DmaIssueCycles = 16;
+  static constexpr uint64_t DmaIssueCycles = 16;
 
   /// Fixed startup latency of one DMA transfer, in cycles. Latencies of
   /// independent transfers overlap (they pipeline through the MFC).
   uint64_t DmaLatencyCycles = 200;
 
   /// DMA bandwidth; the data phases of transfers on one engine serialise.
+  /// Must be at least 1; the Machine rejects 0.
   uint64_t DmaBytesPerCycle = 8;
 
   /// Cost of an accelerator load/store to its own local store.
-  uint64_t LocalAccessCycles = 1;
+  static constexpr uint64_t LocalAccessCycles = 1;
 
   /// Cost charged to the host per aligned word touched in main memory
   /// (amortised cache behaviour of the PPE-like host).
-  uint64_t HostAccessCycles = 4;
+  static constexpr uint64_t HostAccessCycles = 4;
 
   /// Granularity (bytes) at which HostAccessCycles is charged.
-  uint32_t HostAccessGranularity = 8;
+  static constexpr uint32_t HostAccessGranularity = 8;
 
   /// Cycles between the host requesting an offload block and the
   /// accelerator starting it (thread launch plus amortised code upload).
-  uint64_t OffloadLaunchCycles = 1000;
+  static constexpr uint64_t OffloadLaunchCycles = 1000;
 
   /// Host-side cycles consumed issuing an offload launch.
   uint64_t HostLaunchCycles = 200;
@@ -198,10 +199,10 @@ struct MachineConfig {
   /// Poll-loop backoff quantum: a resident worker waiting on an empty
   /// mailbox re-checks its doorbell every this many cycles, so wake-ups
   /// are quantized to it.
-  uint64_t MailboxIdlePollCycles = 16;
+  static constexpr uint64_t MailboxIdlePollCycles = 16;
 
   /// Descriptor capacity of one resident worker's mailbox.
-  unsigned MailboxDepth = 8;
+  static constexpr unsigned MailboxDepth = 8;
 
   /// Period of the watchdog's deadline sweep: an overdue launch or
   /// descriptor is detected at the next absolute multiple of this, not
@@ -305,13 +306,7 @@ struct MachineConfig {
   /// spawner's local store into the recipient's (a small
   /// store-to-store DMA; same order as MailboxDescriptorCycles, which
   /// is the equivalent main-memory round trip).
-  uint64_t PeerDescriptorDmaCycles = 200;
-
-  /// When true the machine behaves as a traditional single-space SMP:
-  /// accelerators address main memory directly at HostAccessCycles and
-  /// DMA degenerates to a cheap copy. Used as the paper's "traditional
-  /// memory architecture" baseline.
-  bool CacheCoherentSharedMemory = false;
+  static constexpr uint64_t PeerDescriptorDmaCycles = 200;
 
   /// Deterministic fault injection (off by default).
   FaultInjectionConfig Faults;
@@ -319,11 +314,11 @@ struct MachineConfig {
   /// A Cell BE-like configuration (the paper's PlayStation 3 target).
   static MachineConfig cellLike() { return MachineConfig(); }
 
-  /// A traditional cache-coherent shared-memory multicore (the paper's
-  /// XBox 360-like contrast target): one address space, uniform cost.
+  /// An approximation of the paper's shared-memory contrast target
+  /// (XBox 360-like): the same machine with free DMA latency and
+  /// 64 bytes/cycle of bandwidth. Nothing else changes.
   static MachineConfig sharedMemoryLike() {
     MachineConfig Config;
-    Config.CacheCoherentSharedMemory = true;
     Config.DmaLatencyCycles = 0;
     Config.DmaBytesPerCycle = 64;
     return Config;

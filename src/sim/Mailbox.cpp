@@ -18,8 +18,7 @@ using namespace omm;
 using namespace omm::sim;
 
 Mailbox::Mailbox(Machine &M, unsigned AccelId, uint64_t BlockId)
-    : M(M), AccelId(AccelId), BlockId(BlockId),
-      Depth(std::max(1u, M.config().MailboxDepth)) {}
+    : M(M), AccelId(AccelId), BlockId(BlockId) {}
 
 bool Mailbox::push(const WorkDescriptor &Desc) {
   if (full())
@@ -139,7 +138,7 @@ WorkDescriptor Mailbox::pop() {
   // poll at or after ReadyAt (never exactly on it unless aligned).
   uint64_t Now = Accel.Clock.now();
   if (Now < S.ReadyAt) {
-    uint64_t Quantum = std::max<uint64_t>(1, Cfg.MailboxIdlePollCycles);
+    uint64_t Quantum = Cfg.MailboxIdlePollCycles;
     uint64_t Spin = divideCeil(S.ReadyAt - Now, Quantum) * Quantum;
     Accel.Clock.advance(Spin);
     Accel.Counters.IdlePollCycles += Spin;

@@ -8,6 +8,7 @@
 #include "support/Diag.h"
 #include "support/OStream.h"
 
+#include <cerrno>
 #include <cstdlib>
 
 using namespace omm;
@@ -59,4 +60,22 @@ void omm::reportFatalError(std::string_view Message) {
   errs() << "fatal error: " << Message << '\n';
   errs().flush();
   std::abort();
+}
+
+uint32_t omm::parseCountArg(int Argc, char **Argv, int Index,
+                            uint32_t Default, const char *Usage) {
+  if (Index >= Argc)
+    return Default;
+  const char *Text = Argv[Index];
+  char *End = nullptr;
+  errno = 0;
+  unsigned long long Value = std::strtoull(Text, &End, 10);
+  if (*Text < '0' || *Text > '9' || *End != '\0' || errno == ERANGE ||
+      Value == 0 || Value > UINT32_MAX) {
+    errs() << "error: '" << Text << "' is not a count in [1, 2^32)\n"
+           << "usage: " << Usage << '\n';
+    errs().flush();
+    std::exit(2);
+  }
+  return static_cast<uint32_t>(Value);
 }

@@ -19,6 +19,7 @@
 #ifndef OMM_SUPPORT_DIAG_H
 #define OMM_SUPPORT_DIAG_H
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -78,6 +79,13 @@ private:
 /// access, misaligned DMA, allocator exhaustion) where continuing would
 /// corrupt the simulation. Never returns.
 [[noreturn]] void reportFatalError(std::string_view Message);
+
+/// Reads command-line argument \p Index as a count in [1, UINT32_MAX].
+/// \returns \p Default when the argument is absent. Anything else — zero,
+/// a sign, a non-digit, overflow — prints "usage: <Usage>" to stderr and
+/// exits with status 2.
+uint32_t parseCountArg(int Argc, char **Argv, int Index, uint32_t Default,
+                       const char *Usage);
 
 } // namespace omm
 

@@ -77,8 +77,7 @@ void emitMetadata(EventSink &Sink, const TraceRecorder &Rec) {
                static_cast<int>(I) + 1);
 }
 
-void emitBlocks(EventSink &Sink, const TraceRecorder &Rec,
-                const ChromeTraceOptions &Opts) {
+void emitBlocks(EventSink &Sink, const TraceRecorder &Rec) {
   for (const OffloadSpan &B : Rec.blocks()) {
     std::string Name = "offload #" + std::to_string(B.BlockId);
     std::string S = commonFields(Name.c_str(), "offload", 'X',
@@ -99,16 +98,14 @@ void emitBlocks(EventSink &Sink, const TraceRecorder &Rec,
     I += ",\"s\":\"t\",\"args\":{\"accel\":" + std::to_string(B.AccelId) +
          "}";
     Sink.event(I);
-    if (Opts.FlowArrows) {
-      std::string Start = commonFields("launch", "offload_flow", 's',
-                                       HostTid, B.BeginCycle);
-      Start += ",\"id\":" + std::to_string(B.BlockId);
-      Sink.event(Start);
-      std::string Finish = commonFields("launch", "offload_flow", 'f',
-                                        accelTid(B.AccelId), B.BeginCycle);
-      Finish += ",\"bp\":\"e\",\"id\":" + std::to_string(B.BlockId);
-      Sink.event(Finish);
-    }
+    std::string Start = commonFields("launch", "offload_flow", 's', HostTid,
+                                     B.BeginCycle);
+    Start += ",\"id\":" + std::to_string(B.BlockId);
+    Sink.event(Start);
+    std::string Finish = commonFields("launch", "offload_flow", 'f',
+                                      accelTid(B.AccelId), B.BeginCycle);
+    Finish += ",\"bp\":\"e\",\"id\":" + std::to_string(B.BlockId);
+    Sink.event(Finish);
   }
 }
 
@@ -206,36 +203,31 @@ void emitFaults(EventSink &Sink, const TraceRecorder &Rec) {
 
 } // namespace
 
-void trace::writeChromeTrace(OStream &OS, const TraceRecorder &Rec,
-                             const ChromeTraceOptions &Opts) {
+void trace::writeChromeTrace(OStream &OS, const TraceRecorder &Rec) {
   OS << "{\"displayTimeUnit\":\"ms\",\"otherData\":{"
      << "\"tool\":\"offload-mm trace\",\"time_unit\":"
      << "\"1 us rendered = 1 simulated cycle\"},\"traceEvents\":[";
   EventSink Sink(OS);
   emitMetadata(Sink, Rec);
-  emitBlocks(Sink, Rec, Opts);
+  emitBlocks(Sink, Rec);
   emitDescriptors(Sink, Rec);
   emitFaults(Sink, Rec);
-  if (Opts.MailboxEvents)
-    emitMailbox(Sink, Rec);
-  if (Opts.WaitSpans)
-    emitWaits(Sink, Rec);
-  if (Opts.DmaEvents)
-    emitTransfers(Sink, Rec);
+  emitMailbox(Sink, Rec);
+  emitWaits(Sink, Rec);
+  emitTransfers(Sink, Rec);
   OS << "\n]}\n";
   OS.flush();
 }
 
 bool trace::writeChromeTraceFile(std::string_view Path,
-                                 const TraceRecorder &Rec,
-                                 const ChromeTraceOptions &Opts) {
+                                 const TraceRecorder &Rec) {
   std::string PathStr(Path);
   std::FILE *File = std::fopen(PathStr.c_str(), "w");
   if (!File)
     return false;
   {
     OStream OS(File);
-    writeChromeTrace(OS, Rec, Opts);
+    writeChromeTrace(OS, Rec);
   }
   std::fclose(File);
   return true;

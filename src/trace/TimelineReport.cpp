@@ -19,6 +19,9 @@ using namespace omm::trace;
 
 namespace {
 
+constexpr unsigned ChartColumns = 64; ///< Width of the ASCII occupancy chart.
+constexpr unsigned MaxBlockRows = 32; ///< Block-list rows before eliding.
+
 /// [Begin, End) of the rendered window: first block launch (or first
 /// event) to the last event cycle.
 struct Window {
@@ -45,15 +48,16 @@ Window traceWindow(const TraceRecorder &Rec) {
 /// One row of the ASCII chart: '#' where a block runs, '~' where the
 /// core stalls in dma_wait, '.' where it is idle.
 std::string occupancyRow(const TraceRecorder &Rec, unsigned AccelId,
-                         const Window &W, unsigned Columns) {
-  std::string Row(Columns, '.');
+                         const Window &W) {
+  std::string Row(ChartColumns, '.');
   auto Paint = [&](uint64_t Begin, uint64_t End, char C) {
     if (End <= Begin)
       return;
     uint64_t Span = W.span();
-    uint64_t FromTick = (std::max(Begin, W.Begin) - W.Begin) * Columns / Span;
-    uint64_t ToTick = (std::min(End, W.End) - W.Begin) * Columns / Span;
-    for (uint64_t I = FromTick; I <= ToTick && I < Columns; ++I)
+    uint64_t FromTick =
+        (std::max(Begin, W.Begin) - W.Begin) * ChartColumns / Span;
+    uint64_t ToTick = (std::min(End, W.End) - W.Begin) * ChartColumns / Span;
+    for (uint64_t I = FromTick; I <= ToTick && I < ChartColumns; ++I)
       Row[static_cast<size_t>(I)] = C;
   };
   for (const OffloadSpan &B : Rec.blocks())
@@ -67,8 +71,7 @@ std::string occupancyRow(const TraceRecorder &Rec, unsigned AccelId,
 
 } // namespace
 
-void trace::printTimelineReport(OStream &OS, const TraceRecorder &Rec,
-                                const TimelineReportOptions &Opts) {
+void trace::printTimelineReport(OStream &OS, const TraceRecorder &Rec) {
   Machine &M = Rec.machine();
   Window W = traceWindow(Rec);
 
@@ -218,7 +221,7 @@ void trace::printTimelineReport(OStream &OS, const TraceRecorder &Rec,
      << ") cycles ('#' block, '~' dma_wait stall, '.' idle):\n";
   for (unsigned A = 0, E = M.numAccelerators(); A != E; ++A) {
     OS.padded("accel " + std::to_string(A), 9);
-    OS << '|' << occupancyRow(Rec, A, W, Opts.ChartColumns) << "|\n";
+    OS << '|' << occupancyRow(Rec, A, W) << "|\n";
   }
 
   OS << "\nblocks (cycle order):\n";
@@ -232,8 +235,8 @@ void trace::printTimelineReport(OStream &OS, const TraceRecorder &Rec,
   OS << "bytes out\n";
   unsigned Rows = 0;
   for (const OffloadSpan &B : Rec.blocks()) {
-    if (Rows++ == Opts.MaxBlockRows) {
-      OS << "  ... " << (Rec.blocks().size() - Opts.MaxBlockRows)
+    if (Rows++ == MaxBlockRows) {
+      OS << "  ... " << (Rec.blocks().size() - MaxBlockRows)
          << " more blocks elided\n";
       break;
     }

@@ -285,8 +285,6 @@ TEST(FaultInjector, StatusNamesAreStable) {
   EXPECT_STREQ(toString(OffloadStatus::Ok), "ok");
   EXPECT_STREQ(toString(OffloadStatus::AcceleratorDead),
                "accelerator_dead");
-  EXPECT_STREQ(toString(OffloadStatus::LocalStoreExhausted),
-               "local_store_exhausted");
   EXPECT_STREQ(toString(OffloadStatus::NoAcceleratorAvailable),
                "no_accelerator_available");
 }

@@ -36,7 +36,6 @@ TEST(MachineConfig, CellLikeDefaults) {
   EXPECT_EQ(Cfg.NumAccelerators, 6u);
   EXPECT_EQ(Cfg.LocalStoreSize, 256u * 1024u);
   EXPECT_EQ(Cfg.NumDmaTags, 32u);
-  EXPECT_FALSE(Cfg.CacheCoherentSharedMemory);
 }
 
 TEST(MachineConfig, LegalDmaSizes) {
@@ -230,4 +229,23 @@ TEST(MachineDomains, CostFormulasChargeThePremiumOnlyAcrossDomains) {
 TEST(MachineDeath, BadAcceleratorIdAborts) {
   Machine M;
   EXPECT_DEATH(M.accel(99), "accelerator id out of range");
+}
+
+TEST(MachineDeath, ZeroDmaQueueDepthRejected) {
+  MachineConfig Cfg;
+  Cfg.DmaQueueDepth = 0;
+  EXPECT_DEATH(Machine M(Cfg), "DmaQueueDepth");
+}
+
+TEST(MachineDeath, ZeroDmaBandwidthRejected) {
+  MachineConfig Cfg;
+  Cfg.DmaBytesPerCycle = 0;
+  EXPECT_DEATH(Machine M(Cfg), "DmaBytesPerCycle");
+}
+
+TEST(MachineDeath, InvertedStragglerRangeRejected) {
+  MachineConfig Cfg;
+  Cfg.Faults.StragglerSlowdownMin = 8.0f;
+  Cfg.Faults.StragglerSlowdownMax = 2.0f;
+  EXPECT_DEATH(Machine M(Cfg), "StragglerSlowdownMin");
 }

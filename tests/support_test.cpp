@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 using namespace omm;
 
 TEST(MathExtras, PowerOfTwo) {
@@ -117,4 +119,22 @@ TEST(Statistic, AddSetGet) {
 
 TEST(FatalError, Aborts) {
   EXPECT_DEATH(reportFatalError("boom"), "fatal error: boom");
+}
+
+TEST(CountArg, ParsesOrDefaults) {
+  char Tool[] = "tool", Five[] = "5";
+  char *Argv[] = {Tool, Five};
+  EXPECT_EQ(parseCountArg(2, Argv, 1, 7, "tool [n]"), 5u);
+  EXPECT_EQ(parseCountArg(1, Argv, 1, 7, "tool [n]"), 7u);
+}
+
+TEST(CountArg, RejectsZeroAndNonNumbers) {
+  for (const char *Bad : {"0", "-3", "x", "12x", "", "4294967296"}) {
+    char Tool[] = "tool";
+    std::string Arg = Bad;
+    char *Argv[] = {Tool, Arg.data()};
+    EXPECT_EXIT(parseCountArg(2, Argv, 1, 7, "tool [n]"),
+                ::testing::ExitedWithCode(2), "usage: tool \\[n\\]")
+        << Bad;
+  }
 }
