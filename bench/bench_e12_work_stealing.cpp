@@ -146,7 +146,7 @@ RunOut runFrames(const MachineConfig &Cfg, uint64_t HotMult,
   Run.FrameCycles.reserve(FramesPerRow);
   for (uint32_t F = 0; F != FramesPerRow; ++F) {
     uint64_t Begin = M.globalTime();
-    ParallelForStats S = parallelForRange(
+    JobRunStats S = parallelForRange(
         M, Count, [&](auto &Ctx, uint32_t B, uint32_t E) {
           for (uint32_t I = B; I != E; ++I) {
             Ctx.compute(itemCost(I, F, HotMult));
@@ -160,8 +160,8 @@ RunOut runFrames(const MachineConfig &Cfg, uint64_t HotMult,
     Run.StealsSucceeded += S.StealsSucceeded;
     Run.DescriptorsStolen += S.DescriptorsStolen;
     Run.StealCycles += S.StealCycles;
-    Run.FailoverSlices += S.FailoverSlices;
-    Run.HostSlices += S.HostSlices;
+    Run.FailoverSlices += S.FailoverDescriptors;
+    Run.HostSlices += S.HostChunks + S.HostEscalations;
     Run.Stragglers += S.Stragglers;
   }
   Run.Checksum = readChecksum(M, Data);

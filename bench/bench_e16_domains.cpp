@@ -172,7 +172,7 @@ RunOut runFrames(const MachineConfig &Cfg, uint64_t HotMult) {
   Run.FrameCycles.reserve(FramesPerRow);
   for (uint32_t F = 0; F != FramesPerRow; ++F) {
     uint64_t Begin = M.globalTime();
-    ParallelForStats S = parallelForRange(
+    JobRunStats S = parallelForRange(
         M, Count, [&](auto &Ctx, uint32_t B, uint32_t E) {
           for (uint32_t I = B; I != E; ++I) {
             Ctx.compute(itemCost(I, F, HotMult));

@@ -6,12 +6,12 @@
 #
 # Usage: ./ci.sh [jobs]
 #
-# Four stages, all must be green:
+# Five stages, all must be green:
 #   1. build/      — the tier-1 configuration (RelWithDebInfo, asserts
 #                    on, warnings promoted to errors), everything
 #                    except the `soak` label (includes the sweep-runner
 #                    byte-identity and bench-toolchain tests)
-#   2. bench smoke — tiny E10 + E11 + E12 + E13 + E15 runs through
+#   2. bench smoke — tiny E10 + E11 + E12 + E13 + E15 + E16 runs through
 #                    tools/sweeprun (the parallel sweep runner CI and
 #                    developers share): the benches abort on any
 #                    checksum divergence, and bench_summary.py asserts
@@ -22,10 +22,16 @@
 #                    host-staged schedule (E13), and the multi-tenant
 #                    isolation ceiling — a hang or straggler in one
 #                    tenant may not move the other tenants' pooled p99
-#                    by more than 5% (E15); per-shard logs land
-#                    in build/bench/sweep-logs/ for failure triage
-#   3. build-asan/ — the same tests under AddressSanitizer + UBSanitizer
-#   4. soak        — the long randomised fault-injection endurance runs
+#                    by more than 5% (E15), and the domain-aware
+#                    stealing win over domain-oblivious stealing (E16);
+#                    per-shard logs land in build/bench/sweep-logs/ for
+#                    failure triage
+#   3. snapshots   — every bench's full sweep regenerated through
+#                    tools/refresh_baselines into build/bench/regen/;
+#                    each committed BENCH_baseline/*.json must match
+#                    its regenerated twin byte for byte
+#   4. build-asan/ — the same tests under AddressSanitizer + UBSanitizer
+#   5. soak        — the long randomised fault-injection endurance runs
 #                    (including the full-grid sweep determinism soak),
 #                    under the sanitizer build where their randomly
 #                    killed workers are most likely to expose leaks
@@ -152,6 +158,21 @@ python3 tools/bench_summary.py build/bench/BENCH_e16_smoke.json \
 python3 tools/bench_summary.py build/bench/BENCH_e16_smoke.json \
     --filter 'DomainSkew/hot_mult:16/policy:3' \
     --require domain_win_vs_oblivious '>=' 1.1
+
+echo "=== snapshots: every committed baseline regenerates exactly ==="
+python3 tools/refresh_baselines --jobs "$JOBS" \
+    --baseline-dir build/bench/regen
+SNAPSHOT_DRIFT=0
+for SNAPSHOT in BENCH_baseline/*.json; do
+    if ! cmp "$SNAPSHOT" "build/bench/regen/$(basename "$SNAPSHOT")"; then
+        echo "snapshot drift: $SNAPSHOT" >&2
+        SNAPSHOT_DRIFT=1
+    fi
+done
+if [ "$SNAPSHOT_DRIFT" -ne 0 ]; then
+    echo "regenerate with tools/refresh_baselines and review the diff" >&2
+    exit 1
+fi
 
 echo "=== asan+ubsan: configure + build + ctest ==="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOMM_SANITIZE=ON

@@ -20,6 +20,28 @@ using namespace omm;
 using namespace omm::game;
 using namespace omm::sim;
 
+namespace {
+
+/// Adds one resident region's dispatch and recovery work to a frame's
+/// stats (a frame may run several regions; doFrameStaged runs three).
+void foldResidentRun(FrameStats &Stats, const offload::JobRunStats &Run) {
+  Stats.FailedBlocks += Run.FailedLaunches;
+  Stats.FailoverSlices += Run.RequeuedChunks;
+  Stats.HostFallbackSlices += Run.HostChunks + Run.HostEscalations;
+  Stats.AiDescriptors += static_cast<uint32_t>(Run.DescriptorsDispatched);
+  Stats.AiLaunchesSaved += Run.LaunchesSaved;
+  Stats.AiHangs += Run.Hangs;
+  Stats.AiStragglers += Run.Stragglers;
+  Stats.AiSpeculative += Run.SpeculativeRedispatches;
+  Stats.AiCancels += Run.Cancels;
+  Stats.AiSteals += static_cast<uint32_t>(Run.StealsSucceeded);
+  Stats.AiDescriptorsStolen += static_cast<uint32_t>(Run.DescriptorsStolen);
+  Stats.ParcelsSpawned += static_cast<uint32_t>(Run.ParcelsSpawned);
+  Stats.PeerDoorbellCycles += Run.PeerDoorbellCycles;
+}
+
+} // namespace
+
 GameWorld::GameWorld(Machine &M, const GameWorldParams &Params)
     : M(M), Params(Params),
       Entities(M, Params.NumEntities, Params.Seed, Params.WorldHalfExtent),
@@ -307,17 +329,7 @@ FrameStats GameWorld::doFrameOffloadAiResident(unsigned MaxAccelerators,
           aiPassHost(Begin, End);
       });
   Stats.AiCycles = M.hostClock().now() - FrameStart;
-  Stats.FailedBlocks = Run.FailedLaunches;
-  Stats.FailoverSlices = Run.RequeuedChunks;
-  Stats.HostFallbackSlices = Run.HostChunks + Run.HostEscalations;
-  Stats.AiDescriptors = static_cast<uint32_t>(Run.DescriptorsDispatched);
-  Stats.AiLaunchesSaved = Run.LaunchesSaved;
-  Stats.AiHangs = Run.Hangs;
-  Stats.AiStragglers = Run.Stragglers;
-  Stats.AiSpeculative = Run.SpeculativeRedispatches;
-  Stats.AiCancels = Run.Cancels;
-  Stats.AiSteals = static_cast<uint32_t>(Run.StealsSucceeded);
-  Stats.AiDescriptorsStolen = static_cast<uint32_t>(Run.DescriptorsStolen);
+  foldResidentRun(Stats, Run);
 
   uint64_t Start = M.hostClock().now();
   collisionPassHost(Stats);
@@ -446,37 +458,22 @@ FrameStats GameWorld::doFrameStaged(unsigned MaxAccelerators) {
   Opts.ChunkSize = std::max(1u, Params.StageShardElems);
   Opts.MaxWorkers = MaxAccelerators;
 
-  auto Fold = [&](const offload::JobRunStats &Run) {
-    Stats.FailedBlocks += Run.FailedLaunches;
-    Stats.FailoverSlices += Run.RequeuedChunks;
-    Stats.HostFallbackSlices += Run.HostChunks + Run.HostEscalations;
-    Stats.AiDescriptors += static_cast<uint32_t>(Run.DescriptorsDispatched);
-    Stats.AiLaunchesSaved += Run.LaunchesSaved;
-    Stats.AiHangs += Run.Hangs;
-    Stats.AiStragglers += Run.Stragglers;
-    Stats.AiSpeculative += Run.SpeculativeRedispatches;
-    Stats.AiCancels += Run.Cancels;
-    Stats.AiSteals += static_cast<uint32_t>(Run.StealsSucceeded);
-    Stats.AiDescriptorsStolen +=
-        static_cast<uint32_t>(Run.DescriptorsStolen);
-  };
-
   uint64_t Start = M.hostClock().now();
-  Fold(offload::distributeJobs(
+  foldResidentRun(Stats, offload::distributeJobs(
       M, Entities.size(), Opts, [&](auto &Ctx, uint32_t Begin, uint32_t End) {
         aiStageShard(Ctx, Begin, End);
       }));
   Stats.AiCycles = M.hostClock().now() - Start;
 
   Start = M.hostClock().now();
-  Fold(offload::distributeJobs(
+  foldResidentRun(Stats, offload::distributeJobs(
       M, Entities.size(), Opts, [&](auto &Ctx, uint32_t Begin, uint32_t End) {
         collisionStageShard(Ctx, Begin, End, Stats);
       }));
   Stats.CollisionCycles = M.hostClock().now() - Start;
 
   Start = M.hostClock().now();
-  Fold(offload::distributeJobs(
+  foldResidentRun(Stats, offload::distributeJobs(
       M, Entities.size(), Opts, [&](auto &Ctx, uint32_t Begin, uint32_t End) {
         physicsStageShard(Ctx, Begin, End);
       }));
@@ -502,7 +499,7 @@ FrameStats GameWorld::doFrameDataflow(sim::ParcelPolicy Policy,
   Opts.NumStages = 3;
   Opts.Policy = Policy;
   uint64_t Start = M.hostClock().now();
-  offload::DataflowStats Run = offload::runDataflow(
+  offload::JobRunStats Run = offload::runDataflow(
       M, Entities.size(), Opts,
       [&](auto &Ctx, const sim::WorkDescriptor &Desc) {
         switch (Desc.Kernel) {
@@ -521,20 +518,7 @@ FrameStats GameWorld::doFrameDataflow(sim::ParcelPolicy Policy,
   // the whole region lands in AiCycles and the frame total tells the
   // story (bench_e13 compares it against doFrameStaged's).
   Stats.AiCycles = M.hostClock().now() - Start;
-  Stats.FailedBlocks = Run.FailedLaunches;
-  Stats.FailoverSlices = Run.RequeuedChunks;
-  Stats.HostFallbackSlices = Run.HostChunks + Run.HostEscalations;
-  Stats.AiDescriptors = static_cast<uint32_t>(Run.DescriptorsDispatched);
-  Stats.AiLaunchesSaved = Run.LaunchesSaved;
-  Stats.AiHangs = Run.Hangs;
-  Stats.AiStragglers = Run.Stragglers;
-  Stats.AiSpeculative = Run.SpeculativeRedispatches;
-  Stats.AiCancels = Run.Cancels;
-  Stats.AiSteals = static_cast<uint32_t>(Run.StealsSucceeded);
-  Stats.AiDescriptorsStolen = static_cast<uint32_t>(Run.DescriptorsStolen);
-  Stats.ParcelsSpawned = static_cast<uint32_t>(Run.ParcelsSpawned);
-  Stats.PeerDoorbellCycles = Run.PeerDoorbellCycles;
-  Stats.HostRoundTripsEliminated = Run.HostRoundTripsEliminated;
+  foldResidentRun(Stats, Run);
 
   blendAndRender(Stats);
   finishFrame(Stats, FrameStart);

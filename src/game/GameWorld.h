@@ -124,13 +124,11 @@ struct FrameStats {
   uint32_t AiEntitiesShed = 0;
   uint32_t AnimEntitiesShed = 0;
   /// Staged-dataflow schedule (doFrameDataflow; zero elsewhere):
-  /// continuation parcels spawned worker-to-worker, the spawner cycles
-  /// they cost, and the per-stage host round trips they deleted (every
-  /// parcel replaces one join + re-carve + doorbell crossing of the
-  /// host in the staged schedule).
+  /// continuation parcels spawned worker-to-worker, and the spawner
+  /// cycles they cost. Every parcel deletes one per-stage host round
+  /// trip (join + re-carve + doorbell) of the staged schedule.
   uint32_t ParcelsSpawned = 0;
   uint64_t PeerDoorbellCycles = 0;
-  uint64_t HostRoundTripsEliminated = 0;
   /// True when the frame exceeded GameWorldParams::FrameBudgetCycles
   /// (raises the degradation level for the frames after it).
   bool DeadlineMissed = false;

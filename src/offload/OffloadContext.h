@@ -22,6 +22,7 @@
 #define OMM_OFFLOAD_OFFLOADCONTEXT_H
 
 #include "sim/Machine.h"
+#include "sim/Mailbox.h"
 #include "support/Diag.h"
 #include "support/MathExtras.h"
 
@@ -276,27 +277,28 @@ private:
 
 namespace detail {
 
-/// True when \p BodyFn can be invoked with a HostContext — i.e. it takes
-/// its context parameter as `auto &` (or HostContext &) and only uses
-/// the context surface HostContext provides.
+/// Runs one descriptor of an offloaded body on the host, in whichever
+/// form the body takes: Body(Ctx, Desc) for staged bodies that dispatch
+/// on Desc.Kernel, Body(Ctx, Begin, End) otherwise. Bodies written
+/// against the generic context surface (the context parameter taken as
+/// auto&) run directly; bodies hard-wired to OffloadContext cannot fall
+/// back, which is a fatal configuration error (there is nowhere left to
+/// run the work).
 template <typename BodyFn>
-inline constexpr bool isHostRunnable =
-    std::is_invocable_v<BodyFn &, HostContext &, uint32_t, uint32_t>;
-
-/// Runs one [Begin, End) chunk of an offloaded body on the host. Bodies
-/// written against the generic context surface run directly; bodies
-/// hard-wired to OffloadContext cannot fall back, which is a fatal
-/// configuration error (there is nowhere left to run the work).
-template <typename BodyFn>
-void runChunkOnHost(sim::Machine &M, BodyFn &Body, uint32_t Begin,
-                    uint32_t End) {
-  if constexpr (isHostRunnable<BodyFn>) {
+void runChunkOnHost(sim::Machine &M, BodyFn &Body,
+                    const sim::WorkDescriptor &Desc) {
+  if constexpr (std::is_invocable_v<BodyFn &, HostContext &,
+                                    const sim::WorkDescriptor &>) {
     HostContext Ctx(M);
-    Body(Ctx, Begin, End);
+    Body(Ctx, Desc);
+  } else if constexpr (std::is_invocable_v<BodyFn &, HostContext &,
+                                           uint32_t, uint32_t>) {
+    HostContext Ctx(M);
+    Body(Ctx, Desc.Begin, Desc.End);
   } else {
+    (void)M;
     (void)Body;
-    (void)Begin;
-    (void)End;
+    (void)Desc;
     reportFatalError("offload: no accelerator available and the body is "
                      "not host-invocable (take the context parameter as "
                      "auto& to enable host fallback)");

@@ -17,6 +17,11 @@
 /// its continuation (WorkDescriptor::{Kernel, NextKernel, Policy}) and
 /// the pool's continuation table chains stage k to k+1.
 ///
+/// This file holds only the round-robin seeding; the drain, orphan
+/// re-dispatch and the chain-running host fallback are the pool's
+/// shared code. The region is host-paced, so it never probes for
+/// steals, whatever MachineConfig::WorkStealing says.
+///
 /// Determinism and fault composition follow the runtime's contract:
 /// workers die at the descriptor-pop boundary, *before* the body, so a
 /// dead worker never spawned its continuation — re-running the parent
@@ -24,7 +29,8 @@
 /// once, and parcels sitting undelivered in a dead recipient's mailbox
 /// drain back through the same path. With NumStages == 1 (or
 /// ParcelPolicy::None) no descriptor carries a continuation and the
-/// region is the plain host-paced job queue, bit for bit.
+/// region is the plain host-paced job queue — the pool's runPaced loop
+/// that distributeJobs also uses — bit for bit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,33 +42,9 @@
 #include "offload/ResidentWorker.h"
 
 #include <algorithm>
-#include <type_traits>
 #include <vector>
 
 namespace omm::offload {
-
-namespace detail {
-
-/// Descriptor-form host fallback: bodies of a staged region take the
-/// whole WorkDescriptor (they dispatch on Desc.Kernel), so the host
-/// fallback must too. Mirrors runChunkOnHost for the descriptor form.
-template <typename BodyFn>
-void runDescriptorOnHost(sim::Machine &M, BodyFn &Body,
-                         const sim::WorkDescriptor &Desc) {
-  if constexpr (std::is_invocable_v<BodyFn &, HostContext &,
-                                    const sim::WorkDescriptor &>) {
-    HostContext Ctx(M);
-    Body(Ctx, Desc);
-  } else {
-    (void)Body;
-    (void)Desc;
-    reportFatalError("offload: no accelerator available and the staged "
-                     "body is not host-invocable (take the context "
-                     "parameter as auto& to enable host fallback)");
-  }
-}
-
-} // namespace detail
 
 /// Tuning knobs for runDataflow.
 struct DataflowOptions {
@@ -82,52 +64,9 @@ struct DataflowOptions {
   sim::ParcelPolicy Policy = sim::ParcelPolicy::Ring;
 };
 
-/// What one staged dataflow region did (the caller translates this into
-/// FrameStats / bench counters).
-struct DataflowStats {
-  /// Region makespan (pool open to last worker retired).
-  uint64_t MakespanCycles = 0;
-  /// Stage-1 descriptors the host seeded through ordinary doorbells.
-  uint32_t Seeds = 0;
-  /// Continuation parcels spawned worker-to-worker.
-  uint64_t ParcelsSpawned = 0;
-  /// Spawner cycles paid in peer doorbells + peer descriptor copies.
-  uint64_t PeerDoorbellCycles = 0;
-  /// Host round trips the parcels deleted: in the host-staged schedule
-  /// every one of these descriptors would have crossed the host (join,
-  /// re-carve, doorbell) between its stage and the previous one.
-  uint64_t HostRoundTripsEliminated = 0;
-  /// Descriptors (any stage) the host ran because the pool was empty;
-  /// each host-run descriptor's remaining chain also runs on the host.
-  uint32_t HostChunks = 0;
-  /// Worker launches that failed outright; the pool opened without them.
-  uint32_t FailedLaunches = 0;
-  /// Resident-worker launches that succeeded.
-  uint32_t Launches = 0;
-  /// Workers that died mid-region, at a descriptor boundary.
-  uint32_t DeadWorkers = 0;
-  /// Descriptors handed back by dying workers (popped + backlog,
-  /// spawned-but-undelivered parcels included) and re-dispatched.
-  uint32_t RequeuedChunks = 0;
-  /// Doorbell pushes + parcel deliveries (re-dispatches included).
-  uint64_t DescriptorsDispatched = 0;
-  /// Per-descriptor launches the resident runtime amortized away.
-  uint64_t LaunchesSaved = 0;
-  /// Workers that wedged mid-descriptor and were abandoned.
-  uint32_t Hangs = 0;
-  /// Descriptors that missed their chunk deadline.
-  uint32_t Stragglers = 0;
-  /// Backup copies raced against stragglers.
-  uint32_t SpeculativeRedispatches = 0;
-  /// Cooperative cancels raised during the region.
-  uint32_t Cancels = 0;
-  /// Straggling descriptors escalated to the host.
-  uint32_t HostEscalations = 0;
-  /// Successful accelerator-side steals during the region.
-  uint64_t StealsSucceeded = 0;
-  /// Descriptors that migrated between workers through steals.
-  uint64_t DescriptorsStolen = 0;
-};
+/// Dataflow regions report the runtime's one stats struct; the alias is
+/// the name the two-clock benchmark (perfbench/) spells it by.
+using DataflowStats = JobRunStats;
 
 /// Runs a NumStages-deep staged dataflow over [0, Count): the host
 /// seeds stage-1 descriptors of ChunkSize indices each, and every
@@ -145,11 +84,10 @@ struct DataflowStats {
 /// that falls back to the host runs its remaining chain there too (the
 /// chain's ordering guarantee must survive the pool emptying).
 template <typename BodyFn>
-DataflowStats runDataflow(sim::Machine &M, uint32_t Count,
-                          const DataflowOptions &Opts, BodyFn &&Body) {
-  DataflowStats Stats;
+JobRunStats runDataflow(sim::Machine &M, uint32_t Count,
+                        const DataflowOptions &Opts, BodyFn &&Body) {
   if (Count == 0)
-    return Stats;
+    return {};
   uint32_t ChunkSize = std::max(1u, Opts.ChunkSize);
   uint16_t NumStages = std::max<uint16_t>(1, Opts.NumStages);
   sim::ParcelPolicy Policy =
@@ -162,47 +100,13 @@ DataflowStats runDataflow(sim::Machine &M, uint32_t Count,
   for (uint16_t K = 2; K < NumStages; ++K)
     Pool.setContinuation(K, static_cast<uint16_t>(K + 1));
 
-  // Descriptors handed back by dying workers — parents that never ran
-  // and parcels that never got popped alike — awaiting re-dispatch.
-  std::vector<sim::WorkDescriptor> Orphans;
-  size_t OrphanHead = 0;
-
-  // Host fallback runs the descriptor *and its remaining chain*: with
-  // no worker left there is nobody to deliver a continuation to, and
-  // the chain's stage ordering must not be lost.
-  auto RunChainOnHost = [&](sim::WorkDescriptor Desc) {
-    for (;;) {
-      ++Stats.HostChunks;
-      ++M.hostCounters().HostFallbackChunks;
-      M.emitFault({sim::FaultKind::HostFallback, NoAccelerator,
-                   /*BlockId=*/0, M.hostClock().now(), Desc.Begin});
-      detail::runDescriptorOnHost(M, Body, Desc);
-      if (!Desc.hasContinuation())
-        return;
-      Desc = DispatchPlan::continuation(
-          Desc, Pool.continuationOf(Desc.NextKernel), Desc.Seq,
-          sim::WorkDescriptor::NoHome);
-    }
-  };
-
   DispatchPlan Plan(Count);
   Plan.stage(/*Kernel=*/1, NumStages > 1 ? 2 : 0, Policy);
   if (NumStages == 1) {
     // Degenerate single-stage region: no parcel ever exists, so this
     // must BE the host-paced job queue — the same dispatch-then-pop
     // pacing, cycle for cycle (the bit-identity spine).
-    while (!Plan.done() || OrphanHead < Orphans.size()) {
-      sim::WorkDescriptor Desc = OrphanHead < Orphans.size()
-                                     ? Orphans[OrphanHead++]
-                                     : (++Stats.Seeds, Plan.chunk(ChunkSize));
-      if (Pool.liveCount() == 0) {
-        RunChainOnHost(Desc);
-        continue;
-      }
-      unsigned W = Pool.pickWorker();
-      Pool.dispatch(W, Desc);
-      Pool.executeNext(W, Body, Orphans);
-    }
+    Pool.runPaced(Plan, Body, [&] { return ChunkSize; });
   } else {
     // Staged region: doorbell every seed upfront, round-robin across
     // the live workers, before pacing a single pop. Host doorbells are
@@ -215,19 +119,17 @@ DataflowStats runDataflow(sim::Machine &M, uint32_t Count,
     unsigned Next = 0;
     while (!Plan.done()) {
       if (Pool.liveCount() == 0) {
-        ++Stats.Seeds;
-        RunChainOnHost(Plan.chunk(ChunkSize));
+        Pool.runOnHost(Body, Plan.chunk(ChunkSize));
         continue;
       }
       if (Next >= Pool.liveCount())
         Next = 0;
       if (Pool.mailbox(Next).full()) {
         // Make room by letting the backed-up worker run a descriptor (a
-        // death here orphans its backlog; the drain loop re-homes it).
-        Pool.executeNext(Next, Body, Orphans);
+        // death here orphans its backlog; the drain re-homes it).
+        Pool.executeNext(Next, Body);
         continue;
       }
-      ++Stats.Seeds;
       Pool.dispatch(Next, Plan.chunk(ChunkSize));
       ++Next;
     }
@@ -235,47 +137,10 @@ DataflowStats runDataflow(sim::Machine &M, uint32_t Count,
 
   // Drain the continuations still in flight: the host's only remaining
   // job is pacing pops (and re-dispatching orphans) until every chain
-  // has run to its end — there is no per-stage join anywhere.
-  for (;;) {
-    if (OrphanHead < Orphans.size()) {
-      if (Pool.liveCount() == 0) {
-        RunChainOnHost(Orphans[OrphanHead++]);
-        continue;
-      }
-      unsigned W = Pool.pickWorker();
-      if (Pool.mailbox(W).full()) {
-        Pool.executeNext(W, Body, Orphans);
-        continue;
-      }
-      Pool.dispatch(W, Orphans[OrphanHead++]);
-      continue;
-    }
-    unsigned W = Pool.pickLoadedWorker();
-    if (W == ResidentWorkerPool::NoWorker)
-      break;
-    Pool.executeNext(W, Body, Orphans);
-  }
-
-  Pool.close();
-  const ResidentPoolStats &PS = Pool.stats();
-  Stats.MakespanCycles = Pool.makespanCycles();
-  Stats.ParcelsSpawned = PS.ParcelsSpawned;
-  Stats.PeerDoorbellCycles = PS.PeerDoorbellCycles;
-  Stats.HostRoundTripsEliminated = PS.ParcelsSpawned;
-  Stats.FailedLaunches = PS.FailedLaunches;
-  Stats.Launches = PS.Launches;
-  Stats.DeadWorkers = PS.DeadWorkers;
-  Stats.RequeuedChunks = PS.RequeuedDescriptors;
-  Stats.DescriptorsDispatched = PS.DescriptorsDispatched;
-  Stats.LaunchesSaved = PS.launchesSaved();
-  Stats.Hangs = PS.HungWorkers;
-  Stats.Stragglers = PS.StragglerDescriptors;
-  Stats.SpeculativeRedispatches = PS.SpeculativeCopies;
-  Stats.Cancels = PS.Cancels;
-  Stats.HostEscalations = PS.HostEscalations;
-  Stats.StealsSucceeded = PS.StealsSucceeded;
-  Stats.DescriptorsStolen = PS.DescriptorsStolen;
-  return Stats;
+  // has run to its end — there is no per-stage join anywhere, and no
+  // steal probe: the region is host-paced, not bulk-placed.
+  Pool.drain(Body, /*Steal=*/false);
+  return Pool.finish(Plan);
 }
 
 } // namespace omm::offload

@@ -55,8 +55,8 @@ ResidentWorkerPool::ResidentWorkerPool(sim::Machine &M, unsigned MaxWorkers,
     Live.back().Box = std::make_unique<sim::Mailbox>(M, A, BlockId);
     ++PS.Launches;
   }
-  PS.BusyCycles.assign(Live.size(), 0);
-  PS.Chunks.assign(Live.size(), 0);
+  PS.WorkerBusyCycles.assign(Live.size(), 0);
+  PS.WorkerChunks.assign(Live.size(), 0);
 }
 
 bool ResidentWorkerPool::beats(unsigned A, unsigned B) const {
@@ -311,23 +311,28 @@ void ResidentWorkerPool::closeWorker(Worker &Wk) {
   FrameEnd = std::max(FrameEnd, Accel.FreeAt);
 }
 
+void ResidentWorkerPool::noteHostFallback(uint64_t BlockId, uint32_t Begin) {
+  ++M.hostCounters().HostFallbackChunks;
+  M.emitFault({sim::FaultKind::HostFallback, NoAccelerator, BlockId,
+               M.hostClock().now(), Begin});
+}
+
 void ResidentWorkerPool::buryWorker(unsigned W,
-                                    const sim::WorkDescriptor &Popped,
-                                    std::vector<sim::WorkDescriptor> &Orphans) {
+                                    const sim::WorkDescriptor &Popped) {
   Worker &Wk = Live[W];
   sim::Accelerator &Accel = M.accel(Wk.AccelId);
   // The worker died holding the popped descriptor, before the body
   // touched any state: hand it back first, then whatever was still
   // queued behind it, oldest first, so re-dispatch preserves order.
   ++PS.DeadWorkers;
-  ++PS.RequeuedDescriptors;
+  ++PS.RequeuedChunks;
   ++M.hostCounters().FailoverChunks;
   M.emitFault({sim::FaultKind::ChunkRequeued, Wk.AccelId, Wk.BlockId,
                Accel.Clock.now(), Popped.Begin});
   Orphans.push_back(Popped);
   std::vector<sim::WorkDescriptor> Pending = Wk.Box->drain();
   for (const sim::WorkDescriptor &Desc : Pending) {
-    ++PS.RequeuedDescriptors;
+    ++PS.RequeuedChunks;
     ++M.hostCounters().FailoverChunks;
     M.emitFault({sim::FaultKind::ChunkRequeued, Wk.AccelId, Wk.BlockId,
                  Accel.Clock.now(), Desc.Begin});
@@ -339,8 +344,7 @@ void ResidentWorkerPool::buryWorker(unsigned W,
 }
 
 void ResidentWorkerPool::hangWorker(unsigned W,
-                                    const sim::WorkDescriptor &Popped,
-                                    std::vector<sim::WorkDescriptor> &Orphans) {
+                                    const sim::WorkDescriptor &Popped) {
   const sim::WatchdogTimer &WD = M.watchdog();
   if (!WD.armsChunks())
     reportFatalError("resident pool: kernel hang injected with no chunk "
@@ -355,7 +359,7 @@ void ResidentWorkerPool::hangWorker(unsigned W,
   uint64_t DetectAt =
       WD.detectionCycle(Accel.Clock.now() + WD.chunkDeadline());
   Accel.Clock.advanceTo(DetectAt);
-  ++PS.HungWorkers;
+  ++PS.Hangs;
   ++PS.Cancels;
   ++M.hostCounters().HangsDetected;
   ++M.hostCounters().CancelsIssued;
@@ -363,7 +367,7 @@ void ResidentWorkerPool::hangWorker(unsigned W,
                Popped.Begin});
   M.emitFault({sim::FaultKind::CancelIssued, Wk.AccelId, Wk.BlockId,
                DetectAt, /*Detail=*/DetectAt});
-  buryWorker(W, Popped, Orphans);
+  buryWorker(W, Popped);
 }
 
 unsigned ResidentWorkerPool::pickCopyWorker(unsigned Excluding) const {
@@ -410,7 +414,7 @@ void ResidentWorkerPool::finishDescriptor(unsigned W,
   }
 
   uint64_t DetectAt = WD.detectionCycle(Start + WD.chunkDeadline());
-  ++PS.StragglerDescriptors;
+  ++PS.Stragglers;
   ++M.hostCounters().StragglersDetected;
   M.emitFault({sim::FaultKind::StragglerDetected, Wk.AccelId, Wk.BlockId,
                DetectAt, /*Detail=*/SlowEnd - Start});
@@ -442,10 +446,10 @@ void ResidentWorkerPool::finishDescriptor(unsigned W,
     uint64_t CopyFinish =
         CopyStart + Cfg.MailboxDescriptorCycles + Cost;
     Accel2.Clock.advanceTo(CopyFinish);
-    PS.BusyCycles[Copy.StatIndex] += Cost;
-    ++PS.Chunks[Copy.StatIndex];
+    PS.WorkerBusyCycles[Copy.StatIndex] += Cost;
+    ++PS.WorkerChunks[Copy.StatIndex];
     ++Copy.Executed;
-    ++PS.RequeuedDescriptors;
+    ++PS.RequeuedChunks;
     ++M.hostCounters().FailoverChunks;
     M.emitFault({sim::FaultKind::ChunkRequeued, Copy.AccelId, Copy.BlockId,
                  CopyStart, Desc.Begin});
@@ -465,9 +469,7 @@ void ResidentWorkerPool::finishDescriptor(unsigned W,
     M.hostClock().advanceTo(DetectAt);
     M.hostClock().advance(Cost);
     ++PS.HostEscalations;
-    ++M.hostCounters().HostFallbackChunks;
-    M.emitFault({sim::FaultKind::HostFallback, NoAccelerator, Wk.BlockId,
-                 M.hostClock().now(), Desc.Begin});
+    noteHostFallback(Wk.BlockId, Desc.Begin);
   };
 
   switch (Cfg.DeadlineRecovery) {
@@ -490,7 +492,7 @@ void ResidentWorkerPool::finishDescriptor(unsigned W,
     unsigned W2 = pickCopyWorker(W);
     if (W2 == NoWorker)
       return EscalateToHost();
-    ++PS.SpeculativeCopies;
+    ++PS.SpeculativeRedispatches;
     ++M.hostCounters().SpeculativeRedispatches;
     M.emitFault({sim::FaultKind::SpeculativeRedispatch, Live[W2].AccelId,
                  Live[W2].BlockId, DetectAt, Desc.Begin});
@@ -535,4 +537,8 @@ void ResidentWorkerPool::close() {
   Live.clear();
   FrameEnd = std::max(FrameEnd, M.hostClock().now());
   M.hostCounters().JoinStallCycles += M.hostClock().advanceTo(FrameEnd);
+  PS.MakespanCycles = FrameEnd - FrameStart;
+  PS.LaunchesSaved = PS.DescriptorsDispatched > PS.Launches
+                         ? PS.DescriptorsDispatched - PS.Launches
+                         : 0;
 }

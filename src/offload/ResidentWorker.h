@@ -20,12 +20,20 @@
 /// round-robin instead of piling onto pool-order's first entry (which
 /// used to hide imbalance whenever per-chunk costs were zero).
 ///
+/// The pool also owns the dispatch code every region driver shares, one
+/// copy each: the orphan queue, the host fallback (runOnHost), home-first
+/// re-dispatch, the drain loop with its steal probe, and the host-paced
+/// carve-dispatch-pop loop. The drivers (JobQueue.h, ParallelFor.h,
+/// Parcel.h) keep only their placement policy, and every one of them
+/// reports a JobRunStats the pool fills directly.
+///
 /// Fault handling follows the established recovery contract: a worker
 /// that dies popping a descriptor (FaultInjector::chunkFails) has that
-/// descriptor *and* everything still pending in its mailbox handed back
-/// to the caller for re-dispatch with the [Begin, End) boundaries
-/// untouched, so recovered runs compute bit-identical state. When the
-/// pool empties the caller falls back to the host, exactly as before.
+/// descriptor *and* everything still pending in its mailbox appended to
+/// the pool's orphan queue with the [Begin, End) boundaries untouched,
+/// and the drain re-dispatches them, so recovered runs compute
+/// bit-identical state. When the pool empties the host runs what is
+/// left.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,47 +45,61 @@
 #include "sim/Mailbox.h"
 #include "support/Random.h"
 
+#include <algorithm>
 #include <memory>
+#include <span>
 #include <type_traits>
 #include <vector>
 
 namespace omm::offload {
 
-/// What one pool did over its lifetime; the callers translate this into
-/// JobRunStats / ParallelForStats / FrameStats.
-struct ResidentPoolStats {
-  /// Busy cycles per opened worker (body time only, as JobQueue always
-  /// measured it), indexed by open order.
-  std::vector<uint64_t> BusyCycles;
+/// What one resident region did, whichever driver ran it. The pool fills
+/// every field; all-zero counters with WorstLaunchStatus == Ok mean the
+/// fault-free schedule ran as planned.
+struct JobRunStats {
+  /// Region makespan (pool open to last worker retired).
+  uint64_t MakespanCycles = 0;
+  /// Busy cycles per opened worker (body time only), indexed by open
+  /// order, for balance inspection.
+  std::vector<uint64_t> WorkerBusyCycles;
   /// Descriptors executed per opened worker, same indexing.
-  std::vector<uint32_t> Chunks;
-  /// Resident-worker launches that failed outright (dead core, injected
-  /// launch fault); the pool opened without them.
+  std::vector<uint32_t> WorkerChunks;
+  /// Worker launches that failed outright (dead core, injected launch
+  /// fault); the pool opened without them.
   uint32_t FailedLaunches = 0;
-  /// Worst launch outcome (Ok when every worker opened), for callers
-  /// that surface an OffloadStatus.
+  /// Worst launch outcome (Ok when every worker opened).
   OffloadStatus WorstLaunchStatus = OffloadStatus::Ok;
   /// Resident-worker launches that succeeded.
   uint32_t Launches = 0;
-  /// Workers that died in their doorbell loop.
+  /// Workers that died mid-run, at a descriptor boundary.
   uint32_t DeadWorkers = 0;
   /// Descriptors handed back by dying workers (the popped one plus the
-  /// mailbox backlog) for re-dispatch.
-  uint32_t RequeuedDescriptors = 0;
+  /// mailbox backlog, undelivered parcels included) and re-dispatched,
+  /// plus recovery copies run for stragglers.
+  uint32_t RequeuedChunks = 0;
   /// Descriptors executed on a different accelerator than their static
   /// split intended (WorkDescriptor::Home).
   uint32_t FailoverDescriptors = 0;
-  /// Doorbell pushes, including re-dispatch of requeued descriptors.
+  /// Descriptors (any stage) the host ran because the pool was empty;
+  /// each one's remaining continuation chain counts too.
+  uint32_t HostChunks = 0;
+  /// Descriptors the host seeded (DispatchPlan::seq() after placement).
+  uint64_t Seeds = 0;
+  /// Doorbell pushes and parcel deliveries, re-dispatches included.
   uint64_t DescriptorsDispatched = 0;
+  /// Per-descriptor launches the resident runtime amortized away:
+  /// descriptors dispatched minus launches paid (0 when nothing was
+  /// dispatched, and for the one-descriptor-per-worker static split).
+  uint64_t LaunchesSaved = 0;
   /// Workers that wedged mid-descriptor and were abandoned by the
   /// watchdog (a subset of DeadWorkers).
-  uint32_t HungWorkers = 0;
+  uint32_t Hangs = 0;
   /// Descriptors that missed their chunk deadline (injected stragglers
   /// and genuinely slow chunks alike; the watchdog cannot tell).
-  uint32_t StragglerDescriptors = 0;
+  uint32_t Stragglers = 0;
   /// Backup copies raced against stragglers (DeadlinePolicy::Speculate).
-  uint32_t SpeculativeCopies = 0;
-  /// Cooperative cancels raised against this pool's workers.
+  uint32_t SpeculativeRedispatches = 0;
+  /// Cooperative cancels raised against this region's workers.
   uint32_t Cancels = 0;
   /// Straggling descriptors escalated to the host because no other
   /// worker was alive to take the copy.
@@ -96,18 +118,24 @@ struct ResidentPoolStats {
   /// Accelerator cycles spent probing and transferring steals.
   uint64_t StealCycles = 0;
   /// Continuation parcels spawned worker-to-worker (never through the
-  /// host).
+  /// host); each one deletes a host round trip of the staged schedule.
   uint64_t ParcelsSpawned = 0;
   /// Spawner cycles paid in peer doorbells + peer descriptor copies.
   uint64_t PeerDoorbellCycles = 0;
 
-  /// Descriptors minus launches: how many per-chunk launches the
-  /// resident runtime amortized away (0 when nothing was dispatched,
-  /// and for the degenerate one-descriptor-per-worker static split).
-  uint64_t launchesSaved() const {
-    return DescriptorsDispatched > Launches
-               ? DescriptorsDispatched - Launches
-               : 0;
+  /// max/mean busy ratio; 1.0 = perfectly balanced.
+  double imbalance() const {
+    if (WorkerBusyCycles.empty())
+      return 1.0;
+    uint64_t Max = 0, Sum = 0;
+    for (uint64_t Busy : WorkerBusyCycles) {
+      Max = std::max(Max, Busy);
+      Sum += Busy;
+    }
+    if (Sum == 0)
+      return 1.0;
+    double Mean = static_cast<double>(Sum) / WorkerBusyCycles.size();
+    return static_cast<double>(Max) / Mean;
   }
 };
 
@@ -136,7 +164,13 @@ public:
   ~ResidentWorkerPool() { close(); }
 
   sim::Machine &machine() { return M; }
-  const ResidentPoolStats &stats() const { return PS; }
+  const JobRunStats &stats() const { return PS; }
+
+  /// Descriptors orphaned by dead workers and not yet re-dispatched,
+  /// oldest first. Invalidated by the next executeNext.
+  std::span<const sim::WorkDescriptor> orphans() const {
+    return {Orphans.data() + OrphanHead, Orphans.size() - OrphanHead};
+  }
 
   /// Live (not yet dead or retired) workers.
   unsigned liveCount() const { return static_cast<unsigned>(Live.size()); }
@@ -146,18 +180,10 @@ public:
   /// empty.
   unsigned pickWorker() const;
 
-  /// As pickWorker, restricted to workers with a non-empty mailbox;
-  /// NoWorker when every mailbox is empty (the drain loop's exit).
-  unsigned pickLoadedWorker() const;
-
   /// As pickWorker, restricted to workers with an *empty* mailbox that
   /// have not parked after a failed steal; NoWorker when none qualify.
   /// The steal-mode drain loop's thief choice.
   unsigned pickIdleThief() const;
-
-  /// Worker \p W's accelerator clock (the drain loop compares a
-  /// prospective thief's progress against the loaded worker's).
-  uint64_t workerClock(unsigned W) const;
 
   /// True when the machine is configured for accelerator-side stealing
   /// (MachineConfig::WorkStealing != StealPolicy::None).
@@ -211,9 +237,10 @@ public:
 
   /// Worker side: worker \p W pops and executes its oldest descriptor.
   /// \returns true on success. On a death verdict the popped descriptor
-  /// and the mailbox backlog are appended to \p Orphans (boundaries
-  /// intact, oldest first), the worker is buried and the pool shrinks —
-  /// the caller re-dispatches the orphans; false is returned.
+  /// and the mailbox backlog are appended to the orphan queue
+  /// (boundaries intact, oldest first), the worker is buried and the
+  /// pool shrinks — drain() re-dispatches the orphans; false is
+  /// returned.
   ///
   /// \p Body is invoked either as Body(Ctx, Begin, End) (the classic
   /// range form) or, when it accepts one, as Body(Ctx, Desc) so staged
@@ -224,13 +251,12 @@ public:
   /// *before* the body, so a killed worker never spawned: re-running
   /// the parent re-spawns exactly once.
   template <typename BodyFn>
-  bool executeNext(unsigned W, BodyFn &Body,
-                   std::vector<sim::WorkDescriptor> &Orphans) {
+  bool executeNext(unsigned W, BodyFn &Body) {
     Worker &Wk = Live[W];
     sim::Accelerator &Accel = M.accel(Wk.AccelId);
     sim::WorkDescriptor Desc = Wk.Box->pop();
     if (Faults && Faults->chunkFails(Wk.AccelId)) {
-      buryWorker(W, Desc, Orphans);
+      buryWorker(W, Desc);
       return false;
     }
     // Timing verdict at the same pop boundary: a hang wedges the worker
@@ -240,7 +266,7 @@ public:
     if (Faults)
       Timing = Faults->classifyTiming(Wk.AccelId);
     if (Timing.Hangs) {
-      hangWorker(W, Desc, Orphans);
+      hangWorker(W, Desc);
       return false;
     }
     if (Desc.Home != sim::WorkDescriptor::NoHome &&
@@ -260,8 +286,8 @@ public:
         Body(*Wk.Ctx, Desc.Begin, Desc.End);
     }
     uint64_t End = Accel.Clock.now();
-    PS.BusyCycles[Wk.StatIndex] += End - Start;
-    ++PS.Chunks[Wk.StatIndex];
+    PS.WorkerBusyCycles[Wk.StatIndex] += End - Start;
+    ++PS.WorkerChunks[Wk.StatIndex];
     ++Wk.Executed;
     Wk.LastBegin = Desc.Begin;
     Wk.LastEnd = Desc.End;
@@ -276,13 +302,108 @@ public:
     return true;
   }
 
+  /// Host fallback: runs \p Desc on the host, then the rest of its
+  /// continuation chain (empty for undecorated descriptors) — with no
+  /// worker left there is nobody to deliver a parcel to, and the chain's
+  /// stage ordering must survive the pool emptying. Each link bumps
+  /// HostChunks and HostFallbackChunks and emits a HostFallback fault.
+  template <typename BodyFn>
+  void runOnHost(BodyFn &Body, sim::WorkDescriptor Desc) {
+    for (;;) {
+      ++PS.HostChunks;
+      noteHostFallback(/*BlockId=*/0, Desc.Begin);
+      detail::runChunkOnHost(M, Body, Desc);
+      if (!Desc.hasContinuation())
+        return;
+      Desc = DispatchPlan::continuation(
+          Desc, continuationOf(Desc.NextKernel), Desc.Seq,
+          sim::WorkDescriptor::NoHome);
+    }
+  }
+
+  /// Publishes \p Desc to its home worker when that one is alive, else
+  /// to pickWorker(); a full mailbox first runs one of its descriptors
+  /// to make room (a death there orphans its backlog and the pick is
+  /// retried), and an empty pool sends \p Desc to the host. Bounded:
+  /// every retry executes a descriptor or shrinks the pool.
+  template <typename BodyFn>
+  void redispatch(sim::WorkDescriptor Desc, BodyFn &Body) {
+    for (;;) {
+      if (Live.empty()) {
+        runOnHost(Body, Desc);
+        return;
+      }
+      unsigned W = findWorkerFor(Desc.Home);
+      if (W == NoWorker)
+        W = pickWorker();
+      if (Live[W].Box->full()) {
+        executeNext(W, Body);
+        continue;
+      }
+      dispatch(W, Desc);
+      return;
+    }
+  }
+
+  /// Runs the region to completion once placement is done: orphans are
+  /// re-dispatched first (in death order), then the loaded worker with
+  /// the lowest clock executes, until every mailbox is empty. With
+  /// \p Steal set — bulk-placed regions only — an idle worker whose
+  /// clock trails that loaded worker probes for a victim first; failed
+  /// probes park the thief, so the loop always advances. Host-paced
+  /// regions never probe, whatever MachineConfig::WorkStealing says.
+  template <typename BodyFn> void drain(BodyFn &Body, bool Steal) {
+    for (;;) {
+      if (OrphanHead < Orphans.size()) {
+        redispatch(Orphans[OrphanHead++], Body);
+        continue;
+      }
+      unsigned W = pickLoadedWorker();
+      if (W == NoWorker)
+        return;
+      if (Steal) {
+        unsigned T = pickIdleThief();
+        if (T != NoWorker && workerClock(T) < workerClock(W)) {
+          trySteal(T);
+          continue;
+        }
+      }
+      executeNext(W, Body);
+    }
+  }
+
+  /// The host-paced job queue: carves \p Plan into chunks of
+  /// NextChunk() indices (re-dispatching orphans first, so recovery
+  /// preserves queue order), pushes each to pickWorker() and lets that
+  /// worker pop it at once; an empty pool sends the rest to the host.
+  template <typename BodyFn, typename ChunkFn>
+  void runPaced(DispatchPlan &Plan, BodyFn &Body, ChunkFn &&NextChunk) {
+    while (!Plan.done() || OrphanHead < Orphans.size()) {
+      sim::WorkDescriptor Desc = OrphanHead < Orphans.size()
+                                     ? Orphans[OrphanHead++]
+                                     : Plan.chunk(NextChunk());
+      if (Live.empty()) {
+        runOnHost(Body, Desc);
+        continue;
+      }
+      unsigned W = pickWorker();
+      dispatch(W, Desc);
+      executeNext(W, Body);
+    }
+  }
+
   /// Retires the surviving workers, folds every finish time into the
   /// region makespan and joins the host to it (JoinStallCycles).
   /// Idempotent; called by the destructor as a backstop.
   void close();
 
-  /// Region makespan; valid after close().
-  uint64_t makespanCycles() const { return FrameEnd - FrameStart; }
+  /// Closes the pool and \returns the region's statistics, with Seeds
+  /// taken from the \p Plan that carved its descriptors.
+  JobRunStats finish(const DispatchPlan &Plan) {
+    close();
+    PS.Seeds = Plan.seq();
+    return PS;
+  }
 
 private:
   struct Worker {
@@ -304,22 +425,32 @@ private:
     std::unique_ptr<sim::Mailbox> Box;
   };
 
+  /// As pickWorker, restricted to workers with a non-empty mailbox;
+  /// NoWorker when every mailbox is empty (the drain loop's exit).
+  unsigned pickLoadedWorker() const;
+
+  /// Worker \p W's accelerator clock (the drain loop compares a
+  /// prospective thief's progress against the loaded worker's).
+  uint64_t workerClock(unsigned W) const;
+
+  /// Bills one host-run descriptor starting at \p Begin:
+  /// HostFallbackChunks plus a HostFallback fault event.
+  void noteHostFallback(uint64_t BlockId, uint32_t Begin);
+
   /// Ends worker \p W's block (observer, DMA drain, arena reset,
   /// FreeAt) and folds its finish time into the makespan.
   void closeWorker(Worker &Wk);
 
-  /// The death path: requeues \p Popped plus the mailbox backlog into
-  /// \p Orphans, bills the recovery counters, kills the core and
-  /// removes the worker from the pool.
-  void buryWorker(unsigned W, const sim::WorkDescriptor &Popped,
-                  std::vector<sim::WorkDescriptor> &Orphans);
+  /// The death path: orphans \p Popped plus the mailbox backlog, bills
+  /// the recovery counters, kills the core and removes the worker from
+  /// the pool.
+  void buryWorker(unsigned W, const sim::WorkDescriptor &Popped);
 
   /// The hang path: the worker wedged before running \p Popped. Fatal
   /// unless chunk deadlines are armed; otherwise the watchdog detects
   /// the miss, cancels the worker (never observed — it is wedged) and
   /// buries it like a died one, orphaning \p Popped plus the backlog.
-  void hangWorker(unsigned W, const sim::WorkDescriptor &Popped,
-                  std::vector<sim::WorkDescriptor> &Orphans);
+  void hangWorker(unsigned W, const sim::WorkDescriptor &Popped);
 
   /// Applies worker \p W's straggler slowdown / chunk deadline to a
   /// descriptor whose body ran in [\p Start, \p UnslowedEnd]: appends
@@ -356,7 +487,11 @@ private:
   sim::Machine &M;
   sim::FaultInjector *Faults;
   std::vector<Worker> Live;
-  ResidentPoolStats PS;
+  JobRunStats PS;
+  /// Descriptors handed back by dying workers, awaiting re-dispatch
+  /// from OrphanHead on.
+  std::vector<sim::WorkDescriptor> Orphans;
+  size_t OrphanHead = 0;
   /// Cached MachineConfig::WorkStealing.
   sim::StealPolicy Steal = sim::StealPolicy::None;
   /// The rotation stream behind pickVictim's tie-break; seeded from

@@ -99,7 +99,7 @@ QueueRun runQueue(DeadlinePolicy Policy, PrepareFn &&Prepare) {
   OuterPtr<uint64_t> Data = allocOuterArray<uint64_t>(M, Count);
   QueueRun Run;
   Run.Stats = distributeJobs(
-      M, Count, 1, [&](auto &Ctx, uint32_t Begin, uint32_t End) {
+      M, Count, {.ChunkSize = 1}, [&](auto &Ctx, uint32_t Begin, uint32_t End) {
         for (uint32_t I = Begin; I != End; ++I) {
           Ctx.compute(1000);
           Ctx.outerWrite((Data + I).addr(), uint64_t(I) * 31 + 7);
@@ -174,7 +174,7 @@ TEST(Deadline, ZeroRateTimingFaultsAreInvisible) {
   constexpr uint32_t Count = 8;
   OuterPtr<uint64_t> Data = allocOuterArray<uint64_t>(M, Count);
   auto Stats = distributeJobs(
-      M, Count, 1, [&](auto &Ctx, uint32_t Begin, uint32_t End) {
+      M, Count, {.ChunkSize = 1}, [&](auto &Ctx, uint32_t Begin, uint32_t End) {
         for (uint32_t I = Begin; I != End; ++I) {
           Ctx.compute(1000);
           Ctx.outerWrite((Data + I).addr(), uint64_t(I) * 31 + 7);

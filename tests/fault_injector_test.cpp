@@ -117,8 +117,8 @@ TEST(FaultInjector, IdleInjectorIsBitIdenticalOnJobQueue) {
   auto Body = [](OffloadContext &Ctx, uint32_t Begin, uint32_t End) {
     Ctx.compute((End - Begin) * 321);
   };
-  JobRunStats SA = distributeJobs(A, 300, 8, Body);
-  JobRunStats SB = distributeJobs(B, 300, 8, Body);
+  JobRunStats SA = distributeJobs(A, 300, {.ChunkSize = 8}, Body);
+  JobRunStats SB = distributeJobs(B, 300, {.ChunkSize = 8}, Body);
   EXPECT_EQ(SA.MakespanCycles, SB.MakespanCycles);
   EXPECT_EQ(SA.WorkerBusyCycles, SB.WorkerBusyCycles);
   EXPECT_EQ(SB.DeadWorkers, 0u);
@@ -301,7 +301,8 @@ TEST(FaultInjector, ZeroAcceleratorMachineRunsJobsOnHost) {
   constexpr uint32_t Count = 100;
   std::vector<unsigned> Visits(Count, 0);
   JobRunStats Stats = distributeJobs(
-      M, Count, 16, [&](auto &Ctx, uint32_t Begin, uint32_t End) {
+      M, Count, {.ChunkSize = 16},
+      [&](auto &Ctx, uint32_t Begin, uint32_t End) {
         Ctx.compute((End - Begin) * 10);
         for (uint32_t I = Begin; I != End; ++I)
           ++Visits[I];
@@ -319,12 +320,12 @@ TEST(FaultInjector, ZeroAcceleratorMachineRunsParallelForOnHost) {
   Cfg.NumAccelerators = 0;
   Machine M(Cfg);
   std::vector<unsigned> Visits(64, 0);
-  ParallelForStats Stats = parallelForRange(
+  JobRunStats Stats = parallelForRange(
       M, 64, [&](auto &, uint32_t Begin, uint32_t End) {
         for (uint32_t I = Begin; I != End; ++I)
           ++Visits[I];
       });
-  EXPECT_EQ(Stats.HostSlices, 1u);
+  EXPECT_EQ(Stats.HostChunks + Stats.HostEscalations, 1u);
   for (uint32_t I = 0; I != 64; ++I)
     ASSERT_EQ(Visits[I], 1u) << I;
 }
@@ -334,12 +335,11 @@ TEST(FaultInjector, MaxWorkersZeroFallsBackToHost) {
   Machine M;
   std::vector<unsigned> Visits(50, 0);
   JobRunStats Stats = distributeJobs(
-      M, 50, 10,
+      M, 50, {.ChunkSize = 10, .MaxWorkers = 0},
       [&](auto &, uint32_t Begin, uint32_t End) {
         for (uint32_t I = Begin; I != End; ++I)
           ++Visits[I];
-      },
-      /*MaxWorkers=*/0);
+      });
   EXPECT_EQ(Stats.HostChunks, 5u);
   for (uint32_t I = 0; I != 50; ++I)
     ASSERT_EQ(Visits[I], 1u) << I;
@@ -358,7 +358,8 @@ TEST(FaultInjector, ScheduledWorkerDeathRequeuesItsChunk) {
   constexpr uint32_t Count = 240;
   std::vector<unsigned> Visits(Count, 0);
   JobRunStats Stats = distributeJobs(
-      M, Count, 8, [&](OffloadContext &Ctx, uint32_t Begin, uint32_t End) {
+      M, Count, {.ChunkSize = 8},
+      [&](OffloadContext &Ctx, uint32_t Begin, uint32_t End) {
         Ctx.compute((End - Begin) * 100);
         for (uint32_t I = Begin; I != End; ++I)
           ++Visits[I];
@@ -387,7 +388,7 @@ TEST(FaultInjector, AllWorkersDyingDrainsQueueOnHost) {
   constexpr uint32_t Count = 120;
   std::vector<unsigned> Visits(Count, 0);
   JobRunStats Stats = distributeJobs(
-      M, Count, 10, [&](auto &, uint32_t Begin, uint32_t End) {
+      M, Count, {.ChunkSize = 10}, [&](auto &, uint32_t Begin, uint32_t End) {
         for (uint32_t I = Begin; I != End; ++I)
           ++Visits[I];
       });

@@ -15,6 +15,8 @@
 //     bit-identical to the fault-free run;
 //   - with one stage (or ParcelPolicy::None) the driver is the plain
 //     host-paced job queue, cycle for cycle — the bit-identity spine;
+//   - a dataflow region never probes for steals: every StealPolicy
+//     runs it exactly as StealPolicy::None does, flat or domained;
 //   - GameWorld's staged and dataflow frame schedules compute the same
 //     world, and the dataflow frame is cheaper once enough workers
 //     exist to pipeline the stages.
@@ -60,15 +62,15 @@ uint64_t stageValue(uint16_t Kernel, uint64_t V, uint32_t I) {
 /// Runs the pipeline through runDataflow, asserting per-shard stage
 /// order and exactly-once execution as it goes. \returns the final
 /// array contents through \p Data.
-DataflowStats runPipeline(Machine &M, ParcelPolicy Policy,
-                          std::vector<uint64_t> &Out) {
+JobRunStats runPipeline(Machine &M, ParcelPolicy Policy,
+                        std::vector<uint64_t> &Out) {
   OuterPtr<uint64_t> Data = allocOuterArray<uint64_t>(M, Count);
   std::vector<uint16_t> NextStage(NumShards, 1);
   DataflowOptions Opts;
   Opts.ChunkSize = ChunkSize;
   Opts.NumStages = NumStages;
   Opts.Policy = Policy;
-  DataflowStats Stats = runDataflow(
+  JobRunStats Stats = runDataflow(
       M, Count, Opts, [&](auto &Ctx, const WorkDescriptor &Desc) {
         uint32_t Shard = Desc.Begin / ChunkSize;
         EXPECT_EQ(Desc.Kernel, NextStage[Shard])
@@ -107,21 +109,66 @@ TEST(Parcel, EveryPolicyRunsEveryStageInOrderExactlyOnce) {
                               ParcelPolicy::LeastLoaded}) {
     Machine M;
     std::vector<uint64_t> Out;
-    DataflowStats Stats = runPipeline(M, Policy, Out);
+    JobRunStats Stats = runPipeline(M, Policy, Out);
     EXPECT_EQ(Out, Ref) << "policy " << static_cast<int>(Policy);
     EXPECT_EQ(Stats.Seeds, NumShards);
     // Stages 2 and 3 of every shard arrived as parcels, never through
     // the host: one deleted round trip each.
     EXPECT_EQ(Stats.ParcelsSpawned, uint64_t(NumShards) * (NumStages - 1));
-    EXPECT_EQ(Stats.HostRoundTripsEliminated, Stats.ParcelsSpawned);
     EXPECT_EQ(Stats.HostChunks, 0u);
+  }
+}
+
+TEST(Parcel, StealPolicyDoesNotMoveADataflowRegion) {
+  // Dataflow regions are host-paced, not bulk-placed, so the pool's
+  // drain never offers an idle worker a steal probe: every policy must
+  // reproduce the StealPolicy::None run exactly, on a flat machine and
+  // on a two-domain one with an interconnect premium.
+  auto Run = [](StealPolicy Steal, unsigned PerDomain,
+                std::vector<uint64_t> &Out, JobRunStats &Stats,
+                uint64_t &HostClock, PerfCounters &Counters) {
+    MachineConfig Cfg;
+    Cfg.WorkStealing = Steal;
+    Cfg.AcceleratorsPerDomain = PerDomain;
+    if (PerDomain != 0) {
+      Cfg.InterDomainDmaLatencyCycles = 400;
+      Cfg.InterDomainDescriptorDmaCycles = 200;
+    }
+    Machine M(Cfg);
+    Stats = runPipeline(M, ParcelPolicy::Ring, Out);
+    HostClock = M.hostClock().now();
+    Counters = M.totalCounters();
+  };
+  for (unsigned PerDomain : {0u, 3u}) {
+    std::vector<uint64_t> RefOut;
+    JobRunStats Ref;
+    uint64_t RefHost = 0;
+    PerfCounters RefCounters;
+    Run(StealPolicy::None, PerDomain, RefOut, Ref, RefHost, RefCounters);
+    for (StealPolicy Steal : {StealPolicy::Rotation,
+                              StealPolicy::LocalityAware,
+                              StealPolicy::DomainAware}) {
+      std::vector<uint64_t> Out;
+      JobRunStats Stats;
+      uint64_t Host = 0;
+      PerfCounters Counters;
+      Run(Steal, PerDomain, Out, Stats, Host, Counters);
+      SCOPED_TRACE(testing::Message()
+                   << "policy " << static_cast<int>(Steal)
+                   << " per-domain " << PerDomain);
+      EXPECT_EQ(Out, RefOut);
+      EXPECT_EQ(Stats.MakespanCycles, Ref.MakespanCycles);
+      EXPECT_EQ(Host, RefHost);
+      EXPECT_EQ(Counters, RefCounters);
+      EXPECT_EQ(Stats.StealsAttempted, 0u);
+    }
   }
 }
 
 TEST(Parcel, SpawnCostsLandOnWorkerClocksNotTheHost) {
   Machine M;
   std::vector<uint64_t> Out;
-  DataflowStats Stats = runPipeline(M, ParcelPolicy::Ring, Out);
+  JobRunStats Stats = runPipeline(M, ParcelPolicy::Ring, Out);
 
   // Every spawn pays the peer doorbell plus the descriptor copy, on the
   // spawner's clock; the machine-wide counters agree with the stats.
@@ -157,7 +204,7 @@ TEST(Parcel, NonePolicyWithStagesRunsOnlyStageOne) {
   Opts.ChunkSize = ChunkSize;
   Opts.NumStages = NumStages;
   Opts.Policy = ParcelPolicy::None;
-  DataflowStats Stats = runDataflow(
+  JobRunStats Stats = runDataflow(
       M, Count, Opts, [&](auto &Ctx, const WorkDescriptor &Desc) {
         ++StageRuns[Desc.Kernel];
         Ctx.compute(10);
@@ -188,7 +235,7 @@ TEST(Parcel, DeadRecipientsParcelsRedeliverExactlyOnce) {
     M.faults()->scheduleChunkKill(Rng.nextBelow(M.numAccelerators()),
                                   Rng.nextBelow(2));
     std::vector<uint64_t> Out;
-    DataflowStats Stats = runPipeline(M, ParcelPolicy::Ring, Out);
+    JobRunStats Stats = runPipeline(M, ParcelPolicy::Ring, Out);
     EXPECT_EQ(Out, Ref) << "seed " << Seed;
     EXPECT_GT(Stats.DeadWorkers, 0u) << "seed " << Seed;
   }
@@ -203,7 +250,7 @@ TEST(Parcel, FaultScheduleReplaysCycleForCycle) {
     Machine M(Cfg);
     M.faults()->scheduleChunkKill(1, 2);
     std::vector<uint64_t> Out;
-    DataflowStats Stats = runPipeline(M, ParcelPolicy::LeastLoaded, Out);
+    JobRunStats Stats = runPipeline(M, ParcelPolicy::LeastLoaded, Out);
     Makespan[Run] = Stats.MakespanCycles;
     Requeued[Run] = Stats.RequeuedChunks;
   }
@@ -217,7 +264,7 @@ TEST(Parcel, HostRunsTheWholeChainWhenNoWorkerExists) {
   Cfg.NumAccelerators = 0;
   Machine M(Cfg);
   std::vector<uint64_t> Out;
-  DataflowStats Stats = runPipeline(M, ParcelPolicy::Ring, Out);
+  JobRunStats Stats = runPipeline(M, ParcelPolicy::Ring, Out);
   EXPECT_EQ(Out, referenceValues());
   EXPECT_EQ(Stats.HostChunks, NumShards * NumStages);
   EXPECT_EQ(Stats.ParcelsSpawned, 0u);
@@ -256,7 +303,7 @@ TEST(Parcel, SingleStageDataflowIsThePlainJobQueueCycleForCycle) {
     std::vector<uint64_t> QueueOut, FlowOut;
     uint64_t QueueClock = runSingleStage(
         Cfg, KillSeed, QueueOut, [](Machine &M, OuterPtr<uint64_t> Data) {
-          distributeJobs(M, Count, ChunkSize,
+          distributeJobs(M, Count, {.ChunkSize = ChunkSize},
                          [&](auto &Ctx, uint32_t Begin, uint32_t End) {
                            Ctx.compute((End - Begin) * 50);
                            for (uint32_t I = Begin; I != End; ++I)
@@ -309,7 +356,6 @@ TEST(Parcel, StagedAndDataflowFramesAgreeBitExactly) {
       ASSERT_EQ(Staged.checksum(), Flow.checksum())
           << "policy " << static_cast<int>(Policy) << " frame " << Frame;
       EXPECT_GT(Stats.ParcelsSpawned, 0u);
-      EXPECT_EQ(Stats.HostRoundTripsEliminated, Stats.ParcelsSpawned);
     }
   }
 }

@@ -30,6 +30,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 using namespace omm;
@@ -47,7 +48,7 @@ TEST(ResidentWorker, ClockTiesRoundRobinAcrossWorkers) {
   const uint32_t PerWorker = 10;
   const uint32_t Count = PerWorker * M.numAccelerators();
   auto Stats = distributeJobs(
-      M, Count, 1, [](OffloadContext &, uint32_t, uint32_t) {});
+      M, Count, {.ChunkSize = 1}, [](OffloadContext &, uint32_t, uint32_t) {});
   ASSERT_EQ(Stats.WorkerChunks.size(), M.numAccelerators());
   for (unsigned W = 0; W != M.numAccelerators(); ++W)
     EXPECT_EQ(Stats.WorkerChunks[W], PerWorker) << "worker " << W;
@@ -56,7 +57,8 @@ TEST(ResidentWorker, ClockTiesRoundRobinAcrossWorkers) {
 TEST(ResidentWorker, ChunksCostOneLaunchPerWorkerPlusMailboxTraffic) {
   Machine M;
   auto Stats = distributeJobs(
-      M, 600, 10, [](OffloadContext &Ctx, uint32_t Begin, uint32_t End) {
+      M, 600, {.ChunkSize = 10},
+      [](OffloadContext &Ctx, uint32_t Begin, uint32_t End) {
         Ctx.compute((End - Begin) * 300);
       });
   EXPECT_EQ(Stats.Launches, M.numAccelerators());
@@ -77,9 +79,9 @@ TEST(ResidentWorker, StaticSplitIsTheDegenerateOneDescriptorCase) {
       });
   // One slice per worker: nothing to amortize, and nothing failed.
   EXPECT_EQ(Stats.LaunchesSaved, 0u);
-  EXPECT_EQ(Stats.LaunchFaults, 0u);
-  EXPECT_EQ(Stats.FailoverSlices, 0u);
-  EXPECT_EQ(Stats.HostSlices, 0u);
+  EXPECT_EQ(Stats.FailedLaunches, 0u);
+  EXPECT_EQ(Stats.FailoverDescriptors, 0u);
+  EXPECT_EQ(Stats.HostChunks + Stats.HostEscalations, 0u);
   PerfCounters Totals = M.totalCounters();
   EXPECT_EQ(Totals.DescriptorsDispatched, M.numAccelerators());
 }
@@ -92,7 +94,7 @@ TEST(ResidentWorker, AdaptiveChunkingCutsDescriptorsNotCoverage) {
   {
     Machine M;
     FixedDescriptors =
-        distributeJobs(M, Count, Floor,
+        distributeJobs(M, Count, {.ChunkSize = Floor},
                        [](OffloadContext &Ctx, uint32_t Begin,
                           uint32_t End) {
                          Ctx.compute((End - Begin) * 120);
@@ -124,7 +126,7 @@ TEST(ResidentWorker, AdaptiveChunkingCutsDescriptorsNotCoverage) {
 TEST(ResidentWorker, DescriptorAndMailboxEventsAreObservable) {
   Machine M;
   trace::TraceRecorder Rec(M);
-  distributeJobs(M, 40, 8,
+  distributeJobs(M, 40, {.ChunkSize = 8},
                  [](OffloadContext &Ctx, uint32_t, uint32_t) {
                    Ctx.compute(500);
                  });
@@ -157,7 +159,7 @@ namespace {
 /// second descriptor is still queued. With \p Schedule false the same
 /// machine runs fault-free. \returns the output array's values.
 std::vector<uint64_t> runMidDrainSchedule(bool Schedule, uint32_t Count,
-                                          ParallelForStats *Out = nullptr,
+                                          JobRunStats *Out = nullptr,
                                           uint64_t *HostCycles = nullptr) {
   MachineConfig Cfg;
   Cfg.NumAccelerators = 2;
@@ -168,7 +170,7 @@ std::vector<uint64_t> runMidDrainSchedule(bool Schedule, uint32_t Count,
     M.faults()->scheduleChunkKill(0, 0); // Kill worker 0 on its 1st pop.
   }
   OuterPtr<uint64_t> Data = allocOuterArray<uint64_t>(M, Count);
-  ParallelForStats Stats = parallelForRange(
+  JobRunStats Stats = parallelForRange(
       M, Count, [&](auto &Ctx, uint32_t Begin, uint32_t End) {
         for (uint32_t I = Begin; I != End; ++I) {
           Ctx.compute(150);
@@ -189,14 +191,14 @@ std::vector<uint64_t> runMidDrainSchedule(bool Schedule, uint32_t Count,
 
 TEST(ResidentWorker, MidDrainKillRequeuesTheMailboxBacklogIntact) {
   constexpr uint32_t Count = 96;
-  ParallelForStats Stats;
+  JobRunStats Stats;
   std::vector<uint64_t> Faulted = runMidDrainSchedule(true, Count, &Stats);
   std::vector<uint64_t> Clean = runMidDrainSchedule(false, Count);
   // Both slices ended up on the host: worker 1 never opened, worker 0
   // died with slice 1 still in its mailbox.
-  EXPECT_EQ(Stats.LaunchFaults, 1u);
-  EXPECT_EQ(Stats.HostSlices, 2u);
-  EXPECT_EQ(Stats.FailoverSlices, 0u);
+  EXPECT_EQ(Stats.FailedLaunches, 1u);
+  EXPECT_EQ(Stats.HostChunks + Stats.HostEscalations, 2u);
+  EXPECT_EQ(Stats.FailoverDescriptors, 0u);
   // The drained descriptor kept its boundaries: bit-identical output.
   EXPECT_EQ(Faulted, Clean);
 }
@@ -271,10 +273,10 @@ TEST(ResidentWorker, FullMailboxOfDyingWorkerDrainsBackIntact) {
   EXPECT_EQ(M.hostCounters().DoorbellCycles, DoorbellsBefore);
   EXPECT_EQ(Pool.mailbox(W0).size(), Depth);
 
-  std::vector<WorkDescriptor> Orphans;
-  EXPECT_FALSE(Pool.executeNext(W0, Body, Orphans));
+  EXPECT_FALSE(Pool.executeNext(W0, Body));
   // Popped descriptor first, then the backlog oldest-first: nothing
   // lost, nothing duplicated, boundaries untouched.
+  std::span<const WorkDescriptor> Orphans = Pool.orphans();
   ASSERT_EQ(Orphans.size(), Depth);
   for (unsigned I = 0; I != Depth; ++I) {
     EXPECT_EQ(Orphans[I].Begin, I);
@@ -283,13 +285,10 @@ TEST(ResidentWorker, FullMailboxOfDyingWorkerDrainsBackIntact) {
   EXPECT_EQ(Pool.liveCount(), 1u);
   EXPECT_EQ(Pool.findWorkerFor(0), ResidentWorkerPool::NoWorker);
   EXPECT_EQ(Pool.stats().DeadWorkers, 1u);
-  EXPECT_EQ(Pool.stats().RequeuedDescriptors, Depth);
+  EXPECT_EQ(Pool.stats().RequeuedChunks, Depth);
 
-  for (const WorkDescriptor &Desc : Orphans) {
-    unsigned W = Pool.pickWorker();
-    Pool.dispatch(W, Desc);
-    ASSERT_TRUE(Pool.executeNext(W, Body, Orphans));
-  }
+  Pool.drain(Body, /*Steal=*/false);
+  EXPECT_TRUE(Pool.orphans().empty());
   Pool.close();
   for (unsigned I = 0; I != Depth; ++I)
     EXPECT_EQ(Visits[I], 1u) << "index " << I;
@@ -325,18 +324,14 @@ TEST(ResidentWorker, DoorbellAfterKillAcceleratorDrainsTheBacklog) {
   Pool.dispatch(W0, {3, 4, 3, WorkDescriptor::NoHome});
   EXPECT_EQ(Pool.mailbox(W0).size(), 4u);
 
-  std::vector<WorkDescriptor> Orphans;
-  EXPECT_FALSE(Pool.executeNext(W0, Body, Orphans));
+  EXPECT_FALSE(Pool.executeNext(W0, Body));
+  std::span<const WorkDescriptor> Orphans = Pool.orphans();
   ASSERT_EQ(Orphans.size(), 4u);
   for (unsigned I = 0; I != 4; ++I) {
     EXPECT_EQ(Orphans[I].Begin, I);
     EXPECT_EQ(Orphans[I].End, I + 1);
   }
-  for (const WorkDescriptor &Desc : Orphans) {
-    unsigned W = Pool.pickWorker();
-    Pool.dispatch(W, Desc);
-    ASSERT_TRUE(Pool.executeNext(W, Body, Orphans));
-  }
+  Pool.drain(Body, /*Steal=*/false);
   Pool.close();
   for (unsigned I = 0; I != 4; ++I)
     EXPECT_EQ(Visits[I], 1u) << "index " << I;

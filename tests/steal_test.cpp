@@ -30,6 +30,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 using namespace omm;
@@ -90,13 +91,12 @@ TEST(WorkStealing, StealClaimsHalfTheTailInOrder) {
       Into.push_back(Begin);
     };
   };
-  std::vector<WorkDescriptor> Orphans;
   auto ThiefBody = Note(ThiefOrder);
   auto VictimBody = Note(VictimOrder);
   while (!Pool.mailbox(W1).empty())
-    ASSERT_TRUE(Pool.executeNext(W1, ThiefBody, Orphans));
+    ASSERT_TRUE(Pool.executeNext(W1, ThiefBody));
   while (!Pool.mailbox(W0).empty())
-    ASSERT_TRUE(Pool.executeNext(W0, VictimBody, Orphans));
+    ASSERT_TRUE(Pool.executeNext(W0, VictimBody));
   EXPECT_EQ(ThiefOrder, (std::vector<uint32_t>{4, 5, 6, 7}));
   EXPECT_EQ(VictimOrder, (std::vector<uint32_t>{0, 1, 2, 3}));
   Pool.close();
@@ -116,20 +116,19 @@ TEST(WorkStealing, StolenDescriptorsPopWithoutTheFetchDma) {
   Pool.dispatchBulk(W0, unitChunks(0, 8, 0));
   ASSERT_EQ(Pool.trySteal(W1), 4u);
   uint64_t Before = M.accel(1).Clock.now();
-  std::vector<WorkDescriptor> Orphans;
   auto Empty = [](OffloadContext &, uint32_t, uint32_t) {};
-  ASSERT_TRUE(Pool.executeNext(W1, Empty, Orphans));
+  ASSERT_TRUE(Pool.executeNext(W1, Empty));
   // Zero-cost body, local descriptor: the pop advances nothing.
   EXPECT_EQ(M.accel(1).Clock.now(), Before);
   // A bulk-placed (not stolen) descriptor still pays the fetch.
   uint64_t VictimBefore = M.accel(0).Clock.now();
-  ASSERT_TRUE(Pool.executeNext(W0, Empty, Orphans));
+  ASSERT_TRUE(Pool.executeNext(W0, Empty));
   EXPECT_GE(M.accel(0).Clock.now(),
             VictimBefore + Cfg.MailboxDescriptorCycles);
   while (!Pool.mailbox(W0).empty())
-    Pool.executeNext(W0, Empty, Orphans);
+    Pool.executeNext(W0, Empty);
   while (!Pool.mailbox(W1).empty())
-    Pool.executeNext(W1, Empty, Orphans);
+    Pool.executeNext(W1, Empty);
   Pool.close();
 }
 
@@ -151,18 +150,17 @@ std::vector<uint64_t> victimSequence(StealPolicy Policy, uint64_t Seed) {
     Pool.dispatchBulk(Pool.findWorkerFor(A),
                       unitChunks(A * 100, 6, A * 100));
   unsigned Thief = Pool.findWorkerFor(3);
-  std::vector<WorkDescriptor> Orphans;
   auto Empty = [](OffloadContext &, uint32_t, uint32_t) {};
   for (unsigned Round = 0; Round != 3; ++Round) {
     Pool.trySteal(Thief);
     while (!Pool.mailbox(Thief).empty())
-      Pool.executeNext(Thief, Empty, Orphans);
+      Pool.executeNext(Thief, Empty);
   }
   // Retire the victims' leftovers so close() is legal.
   for (unsigned A = 0; A != 3; ++A) {
     unsigned W = Pool.findWorkerFor(A);
     while (!Pool.mailbox(W).empty())
-      Pool.executeNext(W, Empty, Orphans);
+      Pool.executeNext(W, Empty);
   }
   Pool.close();
   std::vector<uint64_t> Victims;
@@ -204,20 +202,19 @@ TEST(WorkStealing, LocalityAwarePrefersTheRangeAdjacentVictim) {
   Pool.dispatchBulk(W0, unitChunks(5000, 4, 0));
   Pool.dispatchBulk(W2, unitChunks(100, 4, 10));
   Pool.dispatch(W1, {90, 100, 20, WorkDescriptor::NoHome});
-  std::vector<WorkDescriptor> Orphans;
   auto Empty = [](OffloadContext &, uint32_t, uint32_t) {};
-  ASSERT_TRUE(Pool.executeNext(W1, Empty, Orphans));
+  ASSERT_TRUE(Pool.executeNext(W1, Empty));
   // Whatever the rotation draw says, distance dominates: the thief
   // must raid worker 2.
   ASSERT_EQ(Pool.trySteal(W1), 2u);
   EXPECT_EQ(Pool.mailbox(W2).size(), 2u);
   EXPECT_EQ(Pool.mailbox(W0).size(), 4u);
   while (!Pool.mailbox(W0).empty())
-    Pool.executeNext(W0, Empty, Orphans);
+    Pool.executeNext(W0, Empty);
   while (!Pool.mailbox(W1).empty())
-    Pool.executeNext(W1, Empty, Orphans);
+    Pool.executeNext(W1, Empty);
   while (!Pool.mailbox(W2).empty())
-    Pool.executeNext(W2, Empty, Orphans);
+    Pool.executeNext(W2, Empty);
   Pool.close();
 }
 
@@ -242,10 +239,9 @@ TEST(WorkStealing, FailedProbeParksUntilNewWorkAppears) {
   // A dispatch unparks every worker (new work may now be stealable).
   Pool.dispatch(W0, {1, 2, 1, WorkDescriptor::NoHome});
   EXPECT_EQ(Pool.pickIdleThief(), W1);
-  std::vector<WorkDescriptor> Orphans;
   auto Empty = [](OffloadContext &, uint32_t, uint32_t) {};
   while (!Pool.mailbox(W0).empty())
-    Pool.executeNext(W0, Empty, Orphans);
+    Pool.executeNext(W0, Empty);
   Pool.close();
 }
 
@@ -268,10 +264,9 @@ TEST(WorkStealing, ThiefDeathRequeuesStolenBacklogExactlyOnce) {
   ResidentWorkerPool Pool(M, 2);
   unsigned W0 = Pool.findWorkerFor(0);
   unsigned W1 = Pool.findWorkerFor(1);
-  std::vector<WorkDescriptor> Orphans;
   // Warm the thief with one executed chunk [0, 4) (its first pop).
   Pool.dispatch(W1, {0, 4, 0, WorkDescriptor::NoHome});
-  ASSERT_TRUE(Pool.executeNext(W1, Body, Orphans));
+  ASSERT_TRUE(Pool.executeNext(W1, Body));
   // Six chunks of six cover [4, 40) on the victim; the thief takes 3.
   std::vector<WorkDescriptor> Region;
   for (uint32_t B = 4; B != 40; B += 6)
@@ -279,22 +274,18 @@ TEST(WorkStealing, ThiefDeathRequeuesStolenBacklogExactlyOnce) {
   Pool.dispatchBulk(W0, Region);
   ASSERT_EQ(Pool.trySteal(W1), 3u);
   // The fatal pop: descriptor [22, 28) plus stolen backlog [28, 40).
-  ASSERT_FALSE(Pool.executeNext(W1, Body, Orphans));
+  ASSERT_FALSE(Pool.executeNext(W1, Body));
   EXPECT_EQ(Pool.liveCount(), 1u);
+  std::span<const WorkDescriptor> Orphans = Pool.orphans();
   ASSERT_EQ(Orphans.size(), 3u);
   EXPECT_EQ(Orphans[0].Begin, 22u);
   EXPECT_EQ(Orphans[0].End, 28u);
   EXPECT_EQ(Orphans[1].Begin, 28u);
   EXPECT_EQ(Orphans[2].Begin, 34u);
   EXPECT_EQ(Pool.stats().DescriptorsStolen, 3u);
-  EXPECT_EQ(Pool.stats().RequeuedDescriptors, 3u);
+  EXPECT_EQ(Pool.stats().RequeuedChunks, 3u);
   // Survivor takes the orphans and its own backlog.
-  for (const WorkDescriptor &Desc : Orphans) {
-    Pool.dispatch(W0, Desc);
-    ASSERT_TRUE(Pool.executeNext(W0, Body, Orphans));
-  }
-  while (!Pool.mailbox(W0).empty())
-    ASSERT_TRUE(Pool.executeNext(W0, Body, Orphans));
+  Pool.drain(Body, /*Steal=*/false);
   Pool.close();
   for (uint32_t I = 0; I != 40; ++I)
     EXPECT_EQ(Visits[I], 1u) << "index " << I;
@@ -353,7 +344,7 @@ TEST(WorkStealing, StealingShortensASkewedStaticSplit) {
     Machine M(Cfg);
     uint32_t Hot = Count / M.numAccelerators();
     OuterPtr<uint64_t> Data = allocOuterArray<uint64_t>(M, Count);
-    ParallelForStats Stats = parallelForRange(
+    JobRunStats Stats = parallelForRange(
         M, Count, [&](auto &Ctx, uint32_t Begin, uint32_t End) {
           for (uint32_t I = Begin; I != End; ++I) {
             Ctx.compute(I < Hot ? 2000 : 100);
