@@ -6,7 +6,7 @@
 #
 # Usage: ./ci.sh [jobs]
 #
-# Five stages, all must be green:
+# Six stages, all must be green:
 #   1. build/      — the tier-1 configuration (RelWithDebInfo, asserts
 #                    on, warnings promoted to errors), everything
 #                    except the `soak` label (includes the sweep-runner
@@ -30,8 +30,14 @@
 #                    tools/refresh_baselines into build/bench/regen/;
 #                    each committed BENCH_baseline/*.json must match
 #                    its regenerated twin byte for byte
-#   4. build-asan/ — the same tests under AddressSanitizer + UBSanitizer
-#   5. soak        — the long randomised fault-injection endurance runs
+#   4. two-clock   — one short perfbench/run.py dispatch_storm run: it
+#                    builds perfbench/twoclock into build/perfbench/ and
+#                    fails on a wrong output word, a simulated-cycle
+#                    value that moved since the last run of the same
+#                    sources, or a self-test that no longer catches
+#                    either
+#   5. build-asan/ — the same tests under AddressSanitizer + UBSanitizer
+#   6. soak        — the long randomised fault-injection endurance runs
 #                    (including the full-grid sweep determinism soak),
 #                    under the sanitizer build where their randomly
 #                    killed workers are most likely to expose leaks
@@ -173,6 +179,10 @@ if [ "$SNAPSHOT_DRIFT" -ne 0 ]; then
     echo "regenerate with tools/refresh_baselines and review the diff" >&2
     exit 1
 fi
+
+echo "=== two-clock: perfbench build, output, determinism and self-test ==="
+CARGO_TARGET_DIR=build/perfbench python3 perfbench/run.py \
+    --workload dispatch_storm --seed 1 --seconds 0 --trace 0
 
 echo "=== asan+ubsan: configure + build + ctest ==="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOMM_SANITIZE=ON

@@ -12,12 +12,16 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 
 using namespace omm;
 using namespace omm::sim;
 
-LocalStore::LocalStore(uint32_t SizeBytes) : Storage(SizeBytes, 0) {
+LocalStore::LocalStore(uint32_t SizeBytes) : Storage(SizeBytes) {
   assert(SizeBytes >= 64 && "local store implausibly small");
+  if (!Storage.data())
+    reportFatalError("local store: the host cannot allocate " +
+                     std::to_string(SizeBytes) + " bytes");
 }
 
 LocalAddr LocalStore::alloc(uint32_t Size, uint32_t Align) {

@@ -20,11 +20,11 @@
 #define OMM_SIM_LOCALSTORE_H
 
 #include "sim/Address.h"
+#include "sim/ZeroedStorage.h"
 
 #include <cstdint>
 #include <cstring>
 #include <type_traits>
-#include <vector>
 
 namespace omm::sim {
 
@@ -85,7 +85,7 @@ public:
   uint32_t peakUsage() const { return Peak; }
 
 private:
-  std::vector<uint8_t> Storage;
+  ZeroedStorage Storage;
   uint32_t Top = 16; // Offset zero reserved as the null local address.
   uint32_t Peak = 16;
 };

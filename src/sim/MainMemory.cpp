@@ -11,13 +11,20 @@
 #include "support/MathExtras.h"
 
 #include <algorithm>
-#include <cassert>
+#include <string>
 
 using namespace omm;
 using namespace omm::sim;
 
-MainMemory::MainMemory(uint64_t SizeBytes) : Storage(SizeBytes, 0) {
-  assert(SizeBytes >= 2 * GuardBytes && "main memory implausibly small");
+MainMemory::MainMemory(uint64_t SizeBytes) : Storage(SizeBytes) {
+  if (SizeBytes < 2 * GuardBytes)
+    reportFatalError("main memory: MainMemorySize must be at least " +
+                     std::to_string(2 * GuardBytes) +
+                     " bytes (2 * GuardBytes)");
+  if (!Storage.data())
+    reportFatalError("main memory: MainMemorySize of " +
+                     std::to_string(SizeBytes) +
+                     " bytes cannot be allocated on the host");
   FreeList.push_back(FreeBlock{GuardBytes, SizeBytes - GuardBytes});
 }
 

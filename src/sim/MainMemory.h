@@ -23,6 +23,7 @@
 #define OMM_SIM_MAINMEMORY_H
 
 #include "sim/Address.h"
+#include "sim/ZeroedStorage.h"
 
 #include <cstdint>
 #include <cstring>
@@ -41,6 +42,9 @@ public:
   /// restrict their line size to at most GuardBytes.
   static constexpr uint64_t GuardBytes = 1024;
 
+  /// Every byte reads as zero until written. A \p SizeBytes below
+  /// 2 * GuardBytes, or one the host cannot allocate, is a fatal error
+  /// naming MachineConfig::MainMemorySize.
   explicit MainMemory(uint64_t SizeBytes);
 
   uint64_t size() const { return Storage.size(); }
@@ -94,7 +98,7 @@ private:
     uint64_t Size;
   };
 
-  std::vector<uint8_t> Storage;
+  ZeroedStorage Storage;
   // Sorted by offset; adjacent blocks are coalesced on deallocate.
   std::vector<FreeBlock> FreeList;
   // Size of each live allocation, keyed by offset, for deallocate.

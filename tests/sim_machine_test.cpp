@@ -249,3 +249,20 @@ TEST(MachineDeath, InvertedStragglerRangeRejected) {
   Cfg.Faults.StragglerSlowdownMax = 2.0f;
   EXPECT_DEATH(Machine M(Cfg), "StragglerSlowdownMin");
 }
+
+TEST(MachineDeath, TinyMainMemoryRejected) {
+  MachineConfig Cfg;
+  Cfg.MainMemorySize = 2 * MainMemory::GuardBytes - 16;
+  EXPECT_DEATH(Machine M(Cfg), "MainMemorySize must be at least 2048");
+}
+
+TEST(MachineDeath, UnallocatableMainMemoryRejected) {
+#ifdef OMM_SANITIZED
+  GTEST_SKIP() << "ASan aborts on a huge calloc instead of returning null";
+#endif
+  // 4 EiB: more than any 64-bit host's virtual address space.
+  MachineConfig Cfg;
+  Cfg.MainMemorySize = 1ull << 62;
+  EXPECT_DEATH(Machine M(Cfg), "MainMemorySize of [0-9]+ bytes cannot be "
+                               "allocated");
+}

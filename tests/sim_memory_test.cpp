@@ -6,9 +6,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "sim/LocalStore.h"
+#include "sim/Machine.h"
 #include "sim/MainMemory.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <fstream>
+#include <string>
 
 using namespace omm::sim;
 
@@ -86,6 +91,49 @@ TEST(MainMemory, ContainsRejectsNullAndOverflow) {
   EXPECT_FALSE(Mem.contains(GlobalAddr(UINT64_MAX - 4), 16));
 }
 
+TEST(MainMemory, FreshMemoryReadsZero) {
+  // The default size is a fresh host mapping; the small one is a heap
+  // block, which the second round likely reuses after the first round
+  // dirtied it.
+  for (uint64_t Size : {MachineConfig().MainMemorySize, uint64_t{1} << 16}) {
+    for (int Round = 0; Round != 2; ++Round) {
+      MainMemory Mem(Size);
+      GlobalAddr First(MainMemory::GuardBytes), Last(Mem.size() - 8);
+      EXPECT_EQ(Mem.readValue<uint64_t>(First), 0u);
+      EXPECT_EQ(Mem.readValue<uint64_t>(Last), 0u);
+      Mem.writeValue<uint64_t>(First, ~0ull);
+      Mem.writeValue<uint64_t>(Last, ~0ull);
+    }
+  }
+}
+
+#ifdef __linux__
+/// Resident set size of this process in KiB, from /proc/self/status;
+/// zero if the line is missing.
+static uint64_t residentKiB() {
+  std::ifstream Status("/proc/self/status");
+  std::string Line;
+  while (std::getline(Status, Line))
+    if (Line.rfind("VmRSS:", 0) == 0)
+      return std::stoull(Line.substr(6));
+  return 0;
+}
+
+TEST(MainMemory, MachinePaysOnlyForTouchedMemory) {
+#ifdef OMM_SANITIZED
+  GTEST_SKIP() << "the sanitizer runtime changes host RSS";
+#endif
+  // The default machine models 64 MiB of main memory and six 256 KiB
+  // local stores; building it must not touch them.
+  uint64_t Before = residentKiB();
+  ASSERT_NE(Before, 0u);
+  Machine M(MachineConfig::cellLike());
+  uint64_t After = residentKiB();
+  EXPECT_LT(After - std::min(After, Before), 8u * 1024)
+      << "VmRSS grew from " << Before << " KiB to " << After << " KiB";
+}
+#endif
+
 TEST(MainMemoryDeath, OutOfBoundsReadAborts) {
   MainMemory Mem(4096);
   uint8_t Byte;
@@ -150,6 +198,18 @@ TEST(LocalStore, ReadWriteRoundTrip) {
   LocalAddr A = Store.alloc(64);
   Store.writeValue<float>(A, 2.5f);
   EXPECT_EQ(Store.readValue<float>(A), 2.5f);
+}
+
+TEST(LocalStore, FreshStoreReadsZero) {
+  for (int Round = 0; Round != 2; ++Round) {
+    LocalStore Store(MachineConfig::LocalStoreSize);
+    // Offset 0 is the null address; 16 is the first usable word.
+    LocalAddr First(16), Last(Store.size() - 8);
+    EXPECT_EQ(Store.readValue<uint64_t>(First), 0u);
+    EXPECT_EQ(Store.readValue<uint64_t>(Last), 0u);
+    Store.writeValue<uint64_t>(First, ~0ull);
+    Store.writeValue<uint64_t>(Last, ~0ull);
+  }
 }
 
 TEST(LocalStore, TracksPeakUsage) {

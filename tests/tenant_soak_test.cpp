@@ -40,14 +40,12 @@ namespace {
 
 constexpr uint64_t TenantDeadline = 20000;
 
-/// A machine tuned for hundreds of constructions: small main memory, a
-/// random accelerator count, the chunk watchdog armed (so hangs are
-/// recoverable), and a seed-derived blend of timing and fail-stop
-/// faults.
+/// A machine for one soak schedule: a random accelerator count, the
+/// chunk watchdog armed (so hangs are recoverable), and a seed-derived
+/// blend of timing and fail-stop faults.
 MachineConfig soakConfig(uint64_t Seed) {
   SplitMix64 Rng(Seed * 0x9E3779B97F4A7C15ull + 1);
   MachineConfig Cfg = MachineConfig::cellLike();
-  Cfg.MainMemorySize = 8ull << 20;
   Cfg.NumAccelerators = 1 + static_cast<unsigned>(Rng.nextBelow(6));
   Cfg.ChunkDeadlineCycles = TenantDeadline;
   Cfg.CancelPollCycles = 32;
@@ -151,9 +149,7 @@ void runTenantSchedule(uint64_t Seed, SoakOutcome &Out) {
 /// only, fault free, for the same number of frames. Isolation says the
 /// multi-tenant state must match this bit for bit.
 uint64_t cleanChecksum(const TenantParams &T, uint64_t Frames) {
-  MachineConfig Cfg = MachineConfig::cellLike();
-  Cfg.MainMemorySize = 8ull << 20;
-  Machine M(Cfg);
+  Machine M;
   GameWorld World(M, T.World);
   for (uint64_t F = 0; F != Frames; ++F)
     World.doFrameHostOnly();
