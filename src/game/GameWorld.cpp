@@ -299,8 +299,7 @@ FrameStats GameWorld::doFrameOffloadAiParallel(unsigned MaxAccelerators) {
   return Stats;
 }
 
-FrameStats GameWorld::doFrameOffloadAiResident(unsigned MaxAccelerators,
-                                               unsigned FirstAccelerator) {
+FrameStats GameWorld::doFrameOffloadAiResident() {
   FrameStats Stats;
   uint64_t FrameStart = M.hostClock().now();
   uint32_t AiCount = degradedAiEnd();
@@ -316,8 +315,6 @@ FrameStats GameWorld::doFrameOffloadAiResident(unsigned MaxAccelerators,
   // launch amortization and balance, measured by experiment E10.
   offload::JobQueueOptions Opts;
   Opts.ChunkSize = Params.AiChunkElems;
-  Opts.MaxWorkers = MaxAccelerators;
-  Opts.FirstAccelerator = FirstAccelerator;
   Opts.Adaptive = true;
   offload::JobRunStats Run = offload::distributeJobs(
       M, AiCount, Opts,

@@ -168,11 +168,8 @@ public:
   /// chunks, one launch per core. World state is bit-identical to every
   /// other schedule, including under injected faults (a dying worker's
   /// mailbox drains back to the queue); FrameStats records the dispatch
-  /// and recovery work. \p FirstAccelerator shifts the worker pool to
-  /// the contiguous accelerator range starting there (the tenant
-  /// server's domain pinning); 0 is the historical whole-machine pool.
-  FrameStats doFrameOffloadAiResident(unsigned MaxAccelerators = ~0u,
-                                      unsigned FirstAccelerator = 0);
+  /// and recovery work.
+  FrameStats doFrameOffloadAiResident();
 
   /// The host-staged shard schedule: three sequential resident passes —
   /// AI, shard-confined collision, physics — each a distributeJobs

@@ -57,14 +57,8 @@ struct JobQueueOptions {
   /// policy; the fixed size otherwise). 0 is promoted to 1.
   uint32_t ChunkSize = 16;
   /// Accelerator budget; the pool opens min(numAccelerators, MaxWorkers)
-  /// resident workers.
+  /// resident workers on accelerators 0, 1, ... in order.
   unsigned MaxWorkers = ~0u;
-  /// First accelerator the pool may use; workers open on the contiguous
-  /// range [FirstAccelerator, FirstAccelerator + MaxWorkers). The
-  /// domain-pinning knob: FirstAccelerator = D * AcceleratorsPerDomain
-  /// with MaxWorkers <= AcceleratorsPerDomain confines the whole run to
-  /// domain D. 0 (the default) is the historical whole-machine pool.
-  unsigned FirstAccelerator = 0;
   /// Guided self-scheduling: start with coarse chunks while the queue is
   /// long (cutting mailbox traffic) and shrink toward ChunkSize as it
   /// drains (keeping the tail balanced).
@@ -89,7 +83,7 @@ JobRunStats distributeJobs(sim::Machine &M, uint32_t Count,
     return {};
   uint32_t ChunkSize = std::max(1u, Opts.ChunkSize);
 
-  ResidentWorkerPool Pool(M, Opts.MaxWorkers, Opts.FirstAccelerator);
+  ResidentWorkerPool Pool(M, Opts.MaxWorkers);
   // All carving goes through the shared plan (the runtime's single
   // descriptor-construction site); both branches below advance it.
   DispatchPlan Plan(Count);

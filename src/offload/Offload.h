@@ -43,6 +43,7 @@
 #include "sim/Machine.h"
 #include "sim/Mailbox.h"
 #include "support/Diag.h"
+#include "support/MathExtras.h"
 
 #include <algorithm>
 #include <utility>
@@ -113,15 +114,6 @@ OffloadHandle hungLaunch(sim::Machine &M, unsigned AccelId,
 uint64_t finishLaunchTiming(sim::Machine &M, unsigned AccelId,
                             uint64_t BlockId, uint64_t BodyStart,
                             uint64_t BodyEnd, float Slowdown);
-
-/// \returns \p Value rounded up to the next multiple of \p Quantum
-/// (any quantum, unlike alignTo; 0 quantizes nothing).
-inline uint64_t roundUpToQuantum(uint64_t Value, uint64_t Quantum) {
-  if (Quantum == 0)
-    return Value;
-  uint64_t Rem = Value % Quantum;
-  return Rem == 0 ? Value : Value + (Quantum - Rem);
-}
 } // namespace detail
 
 /// Result of launching an offload block; pass to offloadJoin.
@@ -188,8 +180,8 @@ public:
   void requestCancel(sim::Machine &M) {
     if (!Joinable || Status != OffloadStatus::Ok)
       return;
-    uint64_t SeenAt = detail::roundUpToQuantum(M.hostClock().now(),
-                                               M.config().CancelPollCycles);
+    uint64_t SeenAt = roundUpToMultiple(M.hostClock().now(),
+                                        sim::MachineConfig::CancelPollCycles);
     uint64_t NewComplete =
         std::min(CompleteAt, std::max(CancelFloorAt, SeenAt));
     if (NewComplete >= CompleteAt)

@@ -14,19 +14,15 @@
 using namespace omm;
 using namespace omm::offload;
 
-ResidentWorkerPool::ResidentWorkerPool(sim::Machine &M, unsigned MaxWorkers,
-                                       unsigned FirstAccel)
+ResidentWorkerPool::ResidentWorkerPool(sim::Machine &M, unsigned MaxWorkers)
     : M(M), Faults(M.faults()), Steal(M.config().WorkStealing),
-      StealRng(M.config().StealSeed),
+      StealRng(sim::MachineConfig::StealSeed),
       DeadlinesArmed(M.watchdog().armsChunks()) {
   const sim::MachineConfig &Cfg = M.config();
-  unsigned NumAccels = M.numAccelerators();
-  unsigned Avail = FirstAccel < NumAccels ? NumAccels - FirstAccel : 0;
-  unsigned Budget = std::min(Avail, MaxWorkers);
+  unsigned Budget = std::min(M.numAccelerators(), MaxWorkers);
   FrameStart = M.hostClock().now();
   FrameEnd = FrameStart;
-  for (unsigned W = 0; W != Budget; ++W) {
-    unsigned A = FirstAccel + W;
+  for (unsigned A = 0; A != Budget; ++A) {
     M.hostClock().advance(Cfg.HostLaunchCycles);
     uint64_t BlockId = M.takeBlockId();
     if (OffloadStatus St = detail::classifyLaunch(M, A, BlockId);
@@ -205,7 +201,7 @@ void ResidentWorkerPool::spawnContinuation(unsigned W,
 
 unsigned ResidentWorkerPool::pickVictim(unsigned Thief,
                                         unsigned Rotation) const {
-  const unsigned MinBacklog = std::max(2u, M.config().StealMinBacklog);
+  const unsigned MinBacklog = sim::MachineConfig::StealMinBacklog;
   const unsigned RemoteMinBacklog =
       std::max(MinBacklog, M.config().StealRemoteMinBacklog);
   const unsigned Count = static_cast<unsigned>(Live.size());
@@ -285,8 +281,7 @@ unsigned ResidentWorkerPool::trySteal(unsigned W) {
     Wk.StealParked = true;
     return 0;
   }
-  unsigned Stolen =
-      Live[V].Box->stealTailInto(*Wk.Box, Cfg.StealMinBacklog);
+  unsigned Stolen = Live[V].Box->stealTailInto(*Wk.Box);
   if (Stolen == 0) {
     Wk.StealParked = true;
     return 0;
@@ -424,8 +419,7 @@ void ResidentWorkerPool::finishDescriptor(unsigned W,
   // before UnslowedEnd, and the observation is quantized to the
   // worker's cancel-poll boundary.
   auto CancelVictimAt = [&](uint64_t RaisedAt) {
-    uint64_t SeenAt =
-        detail::roundUpToQuantum(RaisedAt, Cfg.CancelPollCycles);
+    uint64_t SeenAt = roundUpToMultiple(RaisedAt, Cfg.CancelPollCycles);
     uint64_t VictimEnd =
         std::min(SlowEnd, std::max(UnslowedEnd, SeenAt));
     ++PS.Cancels;
@@ -511,8 +505,8 @@ void ResidentWorkerPool::finishDescriptor(unsigned W,
       // its own poll boundary and charged only the cycles it burned.
       uint64_t CopyEnd = std::min(
           CopyFinish,
-          std::max(CopyStart, detail::roundUpToQuantum(
-                                  SlowEnd, Cfg.CancelPollCycles)));
+          std::max(CopyStart,
+                   roundUpToMultiple(SlowEnd, Cfg.CancelPollCycles)));
       Accel2.Clock.advanceTo(CopyEnd);
       ++PS.Cancels;
       ++M.hostCounters().CancelsIssued;

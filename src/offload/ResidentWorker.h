@@ -147,16 +147,11 @@ class ResidentWorkerPool {
 public:
   static constexpr unsigned NoWorker = ~0u;
 
-  /// Opens up to min(numAccelerators - FirstAccel, MaxWorkers) resident
-  /// workers on the contiguous accelerator range starting at
-  /// \p FirstAccel (0 — the default — is the historical whole-machine
-  /// pool). A non-zero base is how a caller pins a region to one
-  /// domain's accelerators: FirstAccel = Domain * AcceleratorsPerDomain
-  /// with a budget of at most AcceleratorsPerDomain. Launches follow
-  /// the classifyLaunch fault gate, so a pool can open short-handed or
+  /// Opens up to min(numAccelerators, MaxWorkers) resident workers on
+  /// accelerators 0, 1, ... in order. Launches follow the
+  /// classifyLaunch fault gate, so a pool can open short-handed or
   /// empty; the caller handles host fallback.
-  ResidentWorkerPool(sim::Machine &M, unsigned MaxWorkers,
-                     unsigned FirstAccel = 0);
+  ResidentWorkerPool(sim::Machine &M, unsigned MaxWorkers);
 
   ResidentWorkerPool(const ResidentWorkerPool &) = delete;
   ResidentWorkerPool &operator=(const ResidentWorkerPool &) = delete;

@@ -26,10 +26,6 @@ TenantServer::TenantServer(Machine &M, const TenantServerParams &Params)
 TenantServer::~TenantServer() = default;
 
 unsigned TenantServer::addTenant(const TenantParams &Params) {
-  if (Params.ChunkDeadlineCycles != 0 && M.watchdog().checkCycles() == 0)
-    reportFatalError("tenant server: per-tenant chunk deadline needs "
-                     "WatchdogCheckCycles != 0 (the check grid is "
-                     "machine-wide)");
   Tenant T;
   T.Params = Params;
   T.World = std::make_unique<game::GameWorld>(M, Params.World);
@@ -65,7 +61,7 @@ void TenantServer::scheduleTenantHang(unsigned Tenant, unsigned AccelId) {
   uint64_t Deadline = T.Params.ChunkDeadlineCycles != 0
                           ? T.Params.ChunkDeadlineCycles
                           : BaseChunkDeadline;
-  if (M.watchdog().checkCycles() == 0 || Deadline == 0)
+  if (Deadline == 0)
     reportFatalError("tenant server: hang scheduled for a tenant whose "
                      "slices arm no chunk deadline (unrecoverable)");
   T.Pending.push_back({AccelId, /*Slowdown=*/0.0f});
@@ -139,20 +135,7 @@ void TenantServer::serveRoundRobin(const std::vector<unsigned> &Admitted,
     if (Armed)
       M.watchdog().setChunkDeadline(T.Params.ChunkDeadlineCycles);
     PerfCounters Before = M.totalCounters();
-    // Domain pinning: a tenant with a valid HomeDomain runs its frame
-    // on that domain's accelerator range only, so its traffic stays off
-    // the interconnect. Unpinned tenants (and flat machines) keep the
-    // historical whole-machine pool.
-    unsigned Budget = Params.MaxAccelerators;
-    unsigned FirstAccel = 0;
-    const sim::MachineConfig &Cfg = M.config();
-    if (T.Params.HomeDomain != ~0u && Cfg.AcceleratorsPerDomain != 0 &&
-        T.Params.HomeDomain < M.numDomains()) {
-      FirstAccel = T.Params.HomeDomain * Cfg.AcceleratorsPerDomain;
-      Budget = std::min(Budget, Cfg.AcceleratorsPerDomain);
-    }
-    game::FrameStats Frame =
-        T.World->doFrameOffloadAiResident(Budget, FirstAccel);
+    game::FrameStats Frame = T.World->doFrameOffloadAiResident();
     if (Armed)
       M.watchdog().setChunkDeadline(BaseChunkDeadline);
     recordFrame(T, Frame, Before);
@@ -193,8 +176,7 @@ void TenantServer::serveBatched(const std::vector<unsigned> &Admitted,
     // boundary splits inside the body — per-entity AI state does not
     // depend on chunking, so state identity with RoundRobin holds.
     offload::JobQueueOptions Opts;
-    Opts.ChunkSize = std::max(1u, Params.BatchChunkElems);
-    Opts.MaxWorkers = Params.MaxAccelerators;
+    Opts.ChunkSize = TenantServerParams::BatchChunkElems;
     Opts.Adaptive = true;
     offload::distributeJobs(
         M, Total, Opts, [&](auto &Ctx, uint32_t Begin, uint32_t End) {

@@ -50,19 +50,10 @@ struct TenantParams {
   game::GameWorldParams World;
   /// Chunk deadline armed on the machine watchdog while this tenant's
   /// slice is served (RoundRobin) or folded into the shared minimum
-  /// (Batched); 0 leaves the machine's own deadline in place. Arming
-  /// requires MachineConfig::WatchdogCheckCycles != 0 — the check grid
-  /// is machine-wide and never moves per tenant.
+  /// (Batched); 0 leaves the machine's own deadline in place. The check
+  /// grid (MachineConfig::WatchdogCheckCycles) is machine-wide and never
+  /// moves per tenant.
   uint64_t ChunkDeadlineCycles = 0;
-  /// Pins this tenant's frames to one accelerator domain: its
-  /// RoundRobin dispatch opens workers only on that domain's
-  /// accelerators (budget capped at AcceleratorsPerDomain), so its DMA
-  /// and doorbell traffic never crosses the interconnect. ~0u (the
-  /// default) leaves the tenant unpinned; so does a flat machine
-  /// (AcceleratorsPerDomain == 0) or an out-of-range domain. Batched
-  /// mode ignores the pin — the shared dispatch is collective by
-  /// design.
-  unsigned HomeDomain = ~0u;
 };
 
 /// How serveTick schedules admitted tenants onto the machine.
@@ -81,8 +72,6 @@ enum class ServeMode : uint8_t {
 /// Server-wide policy knobs.
 struct TenantServerParams {
   ServeMode Mode = ServeMode::RoundRobin;
-  /// Worker budget handed to each frame's dispatch.
-  unsigned MaxAccelerators = ~0u;
   /// Admission ledger: estimated tenant frame cycles admitted per tick.
   /// 0 means unlimited (every non-quarantined tenant is admitted every
   /// tick — the determinism-contract configuration).
@@ -90,7 +79,7 @@ struct TenantServerParams {
   /// Deferral aging: a tenant deferred this many consecutive ticks is
   /// force-admitted even over the ledger, so admission cannot starve
   /// the expensive tail of a heavy-tailed tenant population.
-  unsigned MaxDeferTicks = 4;
+  static constexpr unsigned MaxDeferTicks = 4;
   /// Quarantine threshold on a tenant's cumulative fault score (hangs +
   /// stragglers observed in its slices); 0 disables quarantine.
   uint32_t QuarantineAfterFaults = 0;
@@ -105,7 +94,7 @@ struct TenantServerParams {
   /// the run.
   static constexpr uint64_t CoreRestartCycles = 2000;
   /// Chunk width of the shared Batched dispatch.
-  uint32_t BatchChunkElems = 32;
+  static constexpr uint32_t BatchChunkElems = 32;
 };
 
 /// Per-tenant serving record. FrameCycles holds every served frame's

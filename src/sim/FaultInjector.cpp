@@ -75,7 +75,7 @@ bool FaultInjector::dmaCommandFails(unsigned AccelId) {
 }
 
 uint64_t FaultInjector::transferDelay(unsigned AccelId) {
-  if (Config.DmaDelayRate <= 0.0f || Config.DmaDelayCycles == 0)
+  if (Config.DmaDelayRate <= 0.0f)
     return 0;
   return stream(AccelId).Rng.nextBool(Config.DmaDelayRate)
              ? Config.DmaDelayCycles

@@ -16,53 +16,16 @@ using namespace omm;
 using namespace omm::sim;
 
 void PerfCounters::print(OStream &OS) const {
-  auto Row = [&](const char *Name, uint64_t Value) {
-    OS.paddedInt(static_cast<int64_t>(Value), 14);
-    OS << "  " << Name << '\n';
-  };
-  Row("dma gets issued", DmaGetsIssued);
-  Row("dma puts issued", DmaPutsIssued);
-  Row("dma bytes read", DmaBytesRead);
-  Row("dma bytes written", DmaBytesWritten);
-  Row("dma stall cycles", DmaStallCycles);
-  Row("dma queue-full stall cycles", DmaQueueFullStallCycles);
-  Row("local loads", LocalLoads);
-  Row("local stores", LocalStores);
-  Row("host loads", HostLoads);
-  Row("host stores", HostStores);
-  Row("compute cycles", ComputeCycles);
-  Row("join stall cycles", JoinStallCycles);
-  Row("dma retries", DmaRetries);
-  Row("dma retry stall cycles", DmaRetryStallCycles);
-  Row("dma delayed transfers", DmaDelayedTransfers);
-  Row("dma injected delay cycles", DmaInjectedDelayCycles);
-  Row("launch faults", LaunchFaults);
-  Row("accelerators lost", AcceleratorsLost);
-  Row("accelerators recycled", AcceleratorsRecycled);
-  Row("failover chunks", FailoverChunks);
-  Row("host fallback chunks", HostFallbackChunks);
-  Row("descriptors dispatched", DescriptorsDispatched);
-  Row("doorbell cycles", DoorbellCycles);
-  Row("idle-poll cycles", IdlePollCycles);
-  Row("hangs detected", HangsDetected);
-  Row("stragglers detected", StragglersDetected);
-  Row("cancels issued", CancelsIssued);
-  Row("speculative redispatches", SpeculativeRedispatches);
-  Row("deadline-missed frames", DeadlineMissedFrames);
-  Row("steals attempted", StealsAttempted);
-  Row("steals succeeded", StealsSucceeded);
-  Row("descriptors stolen", DescriptorsStolen);
-  Row("steal cycles", StealCycles);
-  Row("parcels spawned", ParcelsSpawned);
-  Row("peer doorbell cycles", PeerDoorbellCycles);
+  for (const PerfCounterField &F : PerfCounterFields) {
+    OS.paddedInt(static_cast<int64_t>(this->*F.Member), 14);
+    OS << "  " << F.Label << '\n';
+  }
 }
 
 Machine::Machine(const MachineConfig &Config)
     : Cfg(Config), Main(Config.MainMemorySize) {
   // NumAccelerators == 0 is legal: it models a host-only machine, and
   // the offload runtime's host-fallback paths must cope (JobQueue.h).
-  if (Config.DmaQueueDepth == 0)
-    reportFatalError("machine: DmaQueueDepth must be at least 1");
   if (Config.DmaBytesPerCycle == 0)
     reportFatalError("machine: DmaBytesPerCycle must be at least 1");
   if (Config.Faults.StragglerSlowdownMin > Config.Faults.StragglerSlowdownMax)

@@ -85,9 +85,6 @@ public:
   /// (AcceleratorsPerDomain == 0) every core is in domain 0.
   unsigned domainOf(unsigned Id) const { return Cfg.domainOf(Id); }
 
-  /// Number of domains the machine's accelerators span (>= 1).
-  unsigned numDomains() const { return Cfg.numDomains(); }
-
   /// \returns true when accelerators \p A and \p B share a domain.
   bool sameDomain(unsigned A, unsigned B) const {
     return Cfg.sameDomain(A, B);

@@ -6,15 +6,26 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// All architectural knobs of the simulated machine in one aggregate, with
-/// presets for the two memory architectures the paper contrasts: a Cell
-/// BE-like machine (host + accelerators with private 256 KB local stores
-/// and MFC DMA) and a traditional shared-memory machine (the "targets with
-/// traditional memory architectures" of Section 4.1). Experiments E1 and
-/// E8 sweep DmaLatencyCycles, and E8 sweeps DmaBytesPerCycle; facts of the
-/// Cell target (local-store size, MFC limits) are constants. Absolute
-/// values are calibrated to the published Cell BE figures (high-latency
-/// DMA, ~25 GB/s at 3.2 GHz = 8 bytes/cycle).
+/// All architectural parameters of the simulated machine in one
+/// aggregate, with presets for the two memory architectures the paper
+/// contrasts: a Cell BE-like machine (host + accelerators with private
+/// 256 KB local stores and MFC DMA) and a traditional shared-memory
+/// machine (the "targets with traditional memory architectures" of
+/// Section 4.1). Absolute values are calibrated to the published Cell BE
+/// figures (high-latency DMA, ~25 GB/s at 3.2 GHz = 8 bytes/cycle).
+///
+/// The settable fields are the ones some bench, example or the serving
+/// layer sets: the core count and memory size, DMA latency and bandwidth
+/// (E1, E8), deadlines and recovery, stealing, E16's domains and
+/// interconnect premiums, and fault injection. Everything else is a
+/// `static constexpr`, for one of two reasons. Facts of the Cell target
+/// are fixed by the hardware: local-store size, MFC alignment, transfer
+/// size, tag count and queue depth. Calibrated costs are fixed because
+/// no experiment varies them: launch, doorbell, descriptor fetch,
+/// watchdog grid, cancel poll, steal probe and grant, the steal seed,
+/// and the injected DMA delay and retry cap. The paper's orderings and
+/// crossovers depend only on the latency/bandwidth/compute ratios, which
+/// the benches sweep.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -69,11 +80,11 @@ struct FaultInjectionConfig {
   float StragglerSlowdownMax = 8.0f;
 
   /// Extra completion latency of one delayed transfer, in cycles.
-  uint64_t DmaDelayCycles = 400;
+  static constexpr uint64_t DmaDelayCycles = 400;
 
   /// Consecutive rejections of one accelerator's DMA commands are
   /// capped here, bounding the runtime's retry loop by construction.
-  unsigned MaxDmaRetries = 6;
+  static constexpr unsigned MaxDmaRetries = 6;
 
   /// Initial retry backoff after a rejected DMA command; doubles per
   /// consecutive rejection.
@@ -152,8 +163,7 @@ struct MachineConfig {
 
   /// Maximum in-flight transfers per accelerator DMA queue (Cell: 16).
   /// Issuing beyond this stalls the issuing core until a slot frees.
-  /// Must be at least 1; the Machine rejects 0.
-  unsigned DmaQueueDepth = 16;
+  static constexpr unsigned DmaQueueDepth = 16;
 
   /// Cycles the issuing core spends enqueueing one MFC command (the
   /// SPE writes ~5 channel registers per request). Charged per command:
@@ -184,17 +194,17 @@ struct MachineConfig {
   static constexpr uint64_t OffloadLaunchCycles = 1000;
 
   /// Host-side cycles consumed issuing an offload launch.
-  uint64_t HostLaunchCycles = 200;
+  static constexpr uint64_t HostLaunchCycles = 200;
 
   /// Host cycles to ring a resident worker's doorbell when dispatching
   /// one work descriptor (an uncached store plus the barrier that makes
   /// the descriptor visible) — the persistent-worker runtime's cheap
   /// alternative to paying HostLaunchCycles per chunk.
-  uint64_t MailboxDoorbellCycles = 40;
+  static constexpr uint64_t MailboxDoorbellCycles = 40;
 
   /// Accelerator cycles to fetch one work descriptor from the worker's
   /// mailbox in main memory (the atomic pop's DMA round trip).
-  uint64_t MailboxDescriptorCycles = 200;
+  static constexpr uint64_t MailboxDescriptorCycles = 200;
 
   /// Poll-loop backoff quantum: a resident worker waiting on an empty
   /// mailbox re-checks its doorbell every this many cycles, so wake-ups
@@ -207,7 +217,7 @@ struct MachineConfig {
   /// Period of the watchdog's deadline sweep: an overdue launch or
   /// descriptor is detected at the next absolute multiple of this, not
   /// at the deadline itself (the watchdog is a polling device).
-  uint64_t WatchdogCheckCycles = 200;
+  static constexpr uint64_t WatchdogCheckCycles = 200;
 
   /// Deadline, in cycles from launch start, for one offload block.
   /// 0 disarms launch deadlines (hangs there become fatal).
@@ -219,7 +229,7 @@ struct MachineConfig {
 
   /// Workers observe a cancel request only at chunk boundaries; the
   /// observation is quantized to absolute multiples of this.
-  uint64_t CancelPollCycles = 64;
+  static constexpr uint64_t CancelPollCycles = 64;
 
   /// Recovery policy for deadline misses (watchdog must be armed).
   DeadlinePolicy DeadlineRecovery = DeadlinePolicy::None;
@@ -231,7 +241,7 @@ struct MachineConfig {
   /// Thief-side cycles per steal attempt: reading the candidate
   /// victims' mailbox headers (queue counts) from main memory. Charged
   /// whether or not a victim is found.
-  uint64_t StealProbeCycles = 60;
+  static constexpr uint64_t StealProbeCycles = 60;
 
   /// Thief-side cycles for the steal handshake itself: the atomic
   /// claim (compare-and-swap on the victim's queue header) that makes
@@ -239,12 +249,12 @@ struct MachineConfig {
   /// top of the single list-form descriptor fetch
   /// (MailboxDescriptorCycles covers the whole stolen list — the
   /// getList advantage).
-  uint64_t StealGrantCycles = 120;
+  static constexpr uint64_t StealGrantCycles = 120;
 
   /// A victim must hold at least this many pending descriptors to be
   /// robbed (the thief takes floor(size/2) from the tail, so 2 is the
-  /// useful minimum and the default).
-  unsigned StealMinBacklog = 2;
+  /// useful minimum).
+  static constexpr unsigned StealMinBacklog = 2;
 
   /// DomainAware only: a *remote-domain* victim must hold at least this
   /// many pending descriptors — the gather pays the fixed
@@ -259,7 +269,7 @@ struct MachineConfig {
   /// Seed of the deterministic victim-rotation stream. Independent of
   /// FaultInjectionConfig::Seed so fault schedules and steal schedules
   /// replay independently.
-  uint64_t StealSeed = 0x57EA15EEDull;
+  static constexpr uint64_t StealSeed = 0x57EA15EEDull;
 
   /// With stealing enabled, parallelForRange splits each worker's
   /// static slice into this many sub-descriptors (bulk-placed with one
@@ -329,14 +339,6 @@ struct MachineConfig {
   /// can evaluate it. The host and main memory are always in domain 0.
   unsigned domainOf(unsigned AccelId) const {
     return AcceleratorsPerDomain == 0 ? 0 : AccelId / AcceleratorsPerDomain;
-  }
-
-  /// Number of domains the configured accelerators span (>= 1).
-  unsigned numDomains() const {
-    if (AcceleratorsPerDomain == 0 || NumAccelerators == 0)
-      return 1;
-    return (NumAccelerators + AcceleratorsPerDomain - 1) /
-           AcceleratorsPerDomain;
   }
 
   /// \returns true when accelerators \p A and \p B share a domain.

@@ -88,8 +88,8 @@ void Mailbox::pushParcel(const WorkDescriptor &Desc, unsigned SpawnerAccelId,
   }
 }
 
-unsigned Mailbox::stealTailInto(Mailbox &Thief, unsigned MinBacklog) {
-  if (Slots.size() < std::max(2u, MinBacklog))
+unsigned Mailbox::stealTailInto(Mailbox &Thief) {
+  if (Slots.size() < MachineConfig::StealMinBacklog)
     return 0;
   const MachineConfig &Cfg = M.config();
   Accelerator &ThiefAccel = M.accel(Thief.AccelId);

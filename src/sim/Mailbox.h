@@ -140,9 +140,9 @@ public:
   /// element — the list form's advantage); the victim is undisturbed.
   /// Stolen descriptors are already local, so the thief's later pops
   /// of them skip the descriptor-fetch DMA. \returns how many
-  /// descriptors moved (0 when fewer than \p MinBacklog are pending —
+  /// descriptors moved (0 when fewer than StealMinBacklog are pending —
   /// nothing is charged then; the caller pays the probe).
-  unsigned stealTailInto(Mailbox &Thief, unsigned MinBacklog);
+  unsigned stealTailInto(Mailbox &Thief);
 
   /// Begin index of the newest pending descriptor (the locality key a
   /// thief scores victims by). Mailbox must not be empty.

@@ -23,6 +23,7 @@
 #define OMM_SIM_WATCHDOGTIMER_H
 
 #include "sim/MachineConfig.h"
+#include "support/MathExtras.h"
 
 #include <cstdint>
 
@@ -34,19 +35,17 @@ namespace omm::sim {
 class WatchdogTimer {
 public:
   explicit WatchdogTimer(const MachineConfig &Config)
-      : CheckCycles(Config.WatchdogCheckCycles),
-        LaunchDeadline(Config.LaunchDeadlineCycles),
+      : LaunchDeadline(Config.LaunchDeadlineCycles),
         ChunkDeadline(Config.ChunkDeadlineCycles) {}
 
   /// \returns true if offload launches carry a deadline.
-  bool armsLaunches() const { return CheckCycles != 0 && LaunchDeadline != 0; }
+  bool armsLaunches() const { return LaunchDeadline != 0; }
 
   /// \returns true if mailbox descriptors carry a deadline.
-  bool armsChunks() const { return CheckCycles != 0 && ChunkDeadline != 0; }
+  bool armsChunks() const { return ChunkDeadline != 0; }
 
   uint64_t launchDeadline() const { return LaunchDeadline; }
   uint64_t chunkDeadline() const { return ChunkDeadline; }
-  uint64_t checkCycles() const { return CheckCycles; }
 
   /// Re-arms (or disarms, with 0) the per-descriptor deadline. The
   /// tenant server uses this to give each tenant its own deadline while
@@ -54,21 +53,14 @@ public:
   /// cycles stay absolute functions of the config.
   void setChunkDeadline(uint64_t Cycles) { ChunkDeadline = Cycles; }
 
-  /// Re-arms (or disarms, with 0) the per-launch deadline.
-  void setLaunchDeadline(uint64_t Cycles) { LaunchDeadline = Cycles; }
-
   /// \returns the cycle at which the watchdog's sweep first observes a
   /// deadline expiring at \p Cycle: the next absolute multiple of the
   /// check period at or after it.
-  uint64_t detectionCycle(uint64_t Cycle) const {
-    if (CheckCycles == 0)
-      return Cycle;
-    uint64_t Rem = Cycle % CheckCycles;
-    return Rem == 0 ? Cycle : Cycle + (CheckCycles - Rem);
+  static uint64_t detectionCycle(uint64_t Cycle) {
+    return roundUpToMultiple(Cycle, MachineConfig::WatchdogCheckCycles);
   }
 
 private:
-  uint64_t CheckCycles;
   uint64_t LaunchDeadline;
   uint64_t ChunkDeadline;
 };

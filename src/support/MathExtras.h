@@ -52,6 +52,14 @@ constexpr uint64_t divideCeil(uint64_t Numerator, uint64_t Denominator) {
   return (Numerator + Denominator - 1) / Denominator;
 }
 
+/// \returns \p Value rounded up to the next multiple of \p Quantum, a
+/// non-zero value that need not be a power of two (unlike alignTo).
+constexpr uint64_t roundUpToMultiple(uint64_t Value, uint64_t Quantum) {
+  assert(Quantum != 0 && "rounding to a zero quantum");
+  uint64_t Rem = Value % Quantum;
+  return Rem == 0 ? Value : Value + (Quantum - Rem);
+}
+
 /// \returns floor(log2(Value)) for a non-zero value.
 constexpr unsigned log2Floor(uint64_t Value) {
   assert(Value != 0 && "log2 of zero");

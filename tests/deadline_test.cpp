@@ -7,7 +7,7 @@
 //
 // The deadline-aware watchdog runtime's contract, asserted:
 //   - WatchdogTimer quantizes detection to the check-interval grid and
-//     arms only when both the interval and a deadline are nonzero;
+//     arms only when a deadline is nonzero;
 //   - a wedged resident worker (injected kernel hang) is detected at
 //     the sweep after its chunk deadline, cancelled, buried, and its
 //     work re-dispatched — results bit-identical to fault-free;
@@ -40,8 +40,8 @@ using namespace omm::offload;
 using namespace omm::sim;
 
 TEST(WatchdogTimer, DetectionSnapsToTheCheckGrid) {
+  static_assert(MachineConfig::WatchdogCheckCycles == 200);
   MachineConfig Cfg;
-  Cfg.WatchdogCheckCycles = 200;
   Cfg.LaunchDeadlineCycles = 1000;
   Cfg.ChunkDeadlineCycles = 0;
   WatchdogTimer WD(Cfg);
@@ -51,20 +51,13 @@ TEST(WatchdogTimer, DetectionSnapsToTheCheckGrid) {
   EXPECT_EQ(WD.detectionCycle(200), 200u);
   EXPECT_EQ(WD.detectionCycle(201), 400u);
   EXPECT_EQ(WD.detectionCycle(399), 400u);
-
-  Cfg.WatchdogCheckCycles = 0;
-  WatchdogTimer Unarmed(Cfg);
-  EXPECT_FALSE(Unarmed.armsLaunches());
-  // No check interval: detection degenerates to the deadline itself.
-  EXPECT_EQ(Unarmed.detectionCycle(123), 123u);
 }
 
-TEST(WatchdogTimer, RoundUpToQuantumHandlesAnyQuantum) {
-  EXPECT_EQ(detail::roundUpToQuantum(0, 48), 0u);
-  EXPECT_EQ(detail::roundUpToQuantum(1, 48), 48u);
-  EXPECT_EQ(detail::roundUpToQuantum(48, 48), 48u);
-  EXPECT_EQ(detail::roundUpToQuantum(49, 48), 96u);
-  EXPECT_EQ(detail::roundUpToQuantum(77, 0), 77u); // 0 = no quantization.
+TEST(WatchdogTimer, RoundUpToMultipleHandlesAnyQuantum) {
+  EXPECT_EQ(roundUpToMultiple(0, 48), 0u);
+  EXPECT_EQ(roundUpToMultiple(1, 48), 48u);
+  EXPECT_EQ(roundUpToMultiple(48, 48), 48u);
+  EXPECT_EQ(roundUpToMultiple(49, 48), 96u);
 }
 
 namespace {
@@ -75,9 +68,7 @@ namespace {
 MachineConfig armedConfig(DeadlinePolicy Policy) {
   MachineConfig Cfg;
   Cfg.NumAccelerators = 2;
-  Cfg.WatchdogCheckCycles = 100;
   Cfg.ChunkDeadlineCycles = 2000;
-  Cfg.CancelPollCycles = 16;
   Cfg.DeadlineRecovery = Policy;
   Cfg.Faults.Enabled = true;
   return Cfg;
@@ -187,7 +178,6 @@ TEST(Deadline, ZeroRateTimingFaultsAreInvisible) {
 
 TEST(Deadline, RequestCancelTrimsOnlyTheTrailingStall) {
   MachineConfig Cfg;
-  Cfg.CancelPollCycles = 16;
   Cfg.Faults.Enabled = true;
   uint64_t CleanComplete;
   {

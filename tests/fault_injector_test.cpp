@@ -35,32 +35,11 @@ using namespace omm::sim;
 
 namespace {
 
-/// Field-by-field equality of two counter sets (EXPECT per field so a
-/// mismatch names the counter).
+/// Field-by-field equality of two counter sets over every field of the
+/// counter table (EXPECT per field so a mismatch names the counter).
 void expectCountersEqual(const PerfCounters &A, const PerfCounters &B) {
-  EXPECT_EQ(A.DmaGetsIssued, B.DmaGetsIssued);
-  EXPECT_EQ(A.DmaPutsIssued, B.DmaPutsIssued);
-  EXPECT_EQ(A.DmaBytesRead, B.DmaBytesRead);
-  EXPECT_EQ(A.DmaBytesWritten, B.DmaBytesWritten);
-  EXPECT_EQ(A.DmaStallCycles, B.DmaStallCycles);
-  EXPECT_EQ(A.DmaQueueFullStallCycles, B.DmaQueueFullStallCycles);
-  EXPECT_EQ(A.LocalLoads, B.LocalLoads);
-  EXPECT_EQ(A.LocalStores, B.LocalStores);
-  EXPECT_EQ(A.HostLoads, B.HostLoads);
-  EXPECT_EQ(A.HostStores, B.HostStores);
-  EXPECT_EQ(A.ComputeCycles, B.ComputeCycles);
-  EXPECT_EQ(A.JoinStallCycles, B.JoinStallCycles);
-  EXPECT_EQ(A.DmaRetries, B.DmaRetries);
-  EXPECT_EQ(A.DmaRetryStallCycles, B.DmaRetryStallCycles);
-  EXPECT_EQ(A.DmaDelayedTransfers, B.DmaDelayedTransfers);
-  EXPECT_EQ(A.DmaInjectedDelayCycles, B.DmaInjectedDelayCycles);
-  EXPECT_EQ(A.LaunchFaults, B.LaunchFaults);
-  EXPECT_EQ(A.AcceleratorsLost, B.AcceleratorsLost);
-  EXPECT_EQ(A.FailoverChunks, B.FailoverChunks);
-  EXPECT_EQ(A.HostFallbackChunks, B.HostFallbackChunks);
-  EXPECT_EQ(A.DescriptorsDispatched, B.DescriptorsDispatched);
-  EXPECT_EQ(A.DoorbellCycles, B.DoorbellCycles);
-  EXPECT_EQ(A.IdlePollCycles, B.IdlePollCycles);
+  for (const PerfCounterField &F : PerfCounterFields)
+    EXPECT_EQ(A.*F.Member, B.*F.Member) << "counter: " << F.Label;
 }
 
 GameWorldParams smallWorld() {
@@ -176,7 +155,6 @@ TEST(FaultInjector, DmaRetriesAreBoundedCountedAndHarmless) {
   MachineConfig Cfg = MachineConfig::cellLike();
   Cfg.Faults.Enabled = true;
   Cfg.Faults.DmaFailRate = 1.0f; // Every command rejected until the cap.
-  Cfg.Faults.MaxDmaRetries = 3;
   Machine M(Cfg);
 
   constexpr uint32_t Count = 64;
@@ -213,7 +191,6 @@ TEST(FaultInjector, DelayedCompletionsStallTheWait) {
   MachineConfig Cfg = MachineConfig::cellLike();
   Cfg.Faults.Enabled = true;
   Cfg.Faults.DmaDelayRate = 1.0f;
-  Cfg.Faults.DmaDelayCycles = 5000;
   Machine Slow(Cfg);
   Machine Fast;
 
@@ -231,7 +208,8 @@ TEST(FaultInjector, DelayedCompletionsStallTheWait) {
   uint64_t FastEnd = TimeOneGet(Fast);
   EXPECT_GE(SlowEnd, FastEnd + Cfg.Faults.DmaDelayCycles);
   EXPECT_EQ(Slow.accel(0).Counters.DmaDelayedTransfers, 1u);
-  EXPECT_EQ(Slow.accel(0).Counters.DmaInjectedDelayCycles, 5000u);
+  EXPECT_EQ(Slow.accel(0).Counters.DmaInjectedDelayCycles,
+            FaultInjectionConfig::DmaDelayCycles);
 }
 
 //===----------------------------------------------------------------------===//
@@ -496,7 +474,6 @@ TEST(FaultInjector, TraceRecorderCollectsFaultEvents) {
   MachineConfig Cfg = MachineConfig::cellLike();
   Cfg.Faults.Enabled = true;
   Cfg.Faults.DmaFailRate = 1.0f;
-  Cfg.Faults.MaxDmaRetries = 2;
   Machine M(Cfg);
   trace::TraceRecorder Rec(M);
 
@@ -508,7 +485,7 @@ TEST(FaultInjector, TraceRecorderCollectsFaultEvents) {
   });
   offloadJoin(M, H);
 
-  ASSERT_EQ(Rec.faults().size(), 2u);
+  ASSERT_EQ(Rec.faults().size(), FaultInjectionConfig::MaxDmaRetries);
   for (const FaultEvent &F : Rec.faults()) {
     EXPECT_EQ(F.Kind, FaultKind::DmaCommandRejected);
     EXPECT_EQ(F.AccelId, 0u);

@@ -48,7 +48,6 @@ FaultInjectionConfig faultsFor(uint64_t Seed) {
   F.AccelDeathRate = Rng.nextFloat() * 0.15f;
   F.DmaFailRate = Rng.nextFloat() * 0.3f;
   F.DmaDelayRate = Rng.nextFloat() * 0.3f;
-  F.DmaDelayCycles = 100 + Rng.nextBelow(2000);
   return F;
 }
 
@@ -169,7 +168,6 @@ MachineConfig timingFaultConfig(uint64_t Seed, DeadlinePolicy Policy) {
   MachineConfig Cfg = MachineConfig::cellLike();
   Cfg.ChunkDeadlineCycles = 20000;
   Cfg.LaunchDeadlineCycles = 20000;
-  Cfg.CancelPollCycles = 32;
   Cfg.DeadlineRecovery = Policy;
   Cfg.Faults.Enabled = true;
   Cfg.Faults.Seed = Rng.next();
@@ -286,10 +284,7 @@ TEST_P(FaultRecoveryProperty, ZeroedStealPolicyReproducesBaselineExactly) {
   SplitMix64 Rng(GetParam() ^ 0x57EA1);
   MachineConfig Cfg = MachineConfig::cellLike();
   Cfg.WorkStealing = StealPolicy::None;
-  Cfg.StealProbeCycles = Rng.nextBelow(10000);
-  Cfg.StealGrantCycles = Rng.nextBelow(10000);
-  Cfg.StealMinBacklog = static_cast<unsigned>(Rng.nextBelow(16));
-  Cfg.StealSeed = Rng.next();
+  Cfg.StealRemoteMinBacklog = static_cast<unsigned>(Rng.nextBelow(16));
   Cfg.StealSliceChunks = 1 + static_cast<unsigned>(Rng.nextBelow(15));
   RunResult Scrambled = runResidentFrames(Cfg);
   EXPECT_EQ(Scrambled.Checksum, Baseline.Checksum);
@@ -510,16 +505,15 @@ bool sameRecords(const std::vector<ListRecord> &X,
 } // namespace
 
 TEST(ListDmaFaults, TransientRejectionRetriesTheWholeListExactlyOnce) {
-  // DmaFailRate = 1 with MaxDmaRetries = 1 rejects every command
-  // exactly once (the cap resets the burst), so each of the two list
-  // commands is re-issued exactly once — and the data must come out
+  // DmaFailRate = 1 rejects every command exactly MaxDmaRetries times
+  // (the cap resets the burst), so each of the two list commands is
+  // re-issued MaxDmaRetries times — and the data must come out
   // bit-identical to the fault-free run.
   MachineConfig Clean;
   MachineConfig Faulty;
   Faulty.Faults.Enabled = true;
   Faulty.Faults.Seed = 7;
   Faulty.Faults.DmaFailRate = 1.0f;
-  Faulty.Faults.MaxDmaRetries = 1;
   uint64_t CleanRetries = 0, FaultyRetries = 0;
   std::vector<ListRecord> Reference = runListGatherScatter(Clean,
                                                            &CleanRetries);
@@ -527,9 +521,9 @@ TEST(ListDmaFaults, TransientRejectionRetriesTheWholeListExactlyOnce) {
                                                           &FaultyRetries);
   EXPECT_TRUE(sameRecords(Injected, Reference));
   EXPECT_EQ(CleanRetries, 0u);
-  // One getList + one putList, each rejected once: two retries total,
-  // never one per list element.
-  EXPECT_EQ(FaultyRetries, 2u);
+  // One getList + one putList, each retried up to the cap: never once
+  // per list element.
+  EXPECT_EQ(FaultyRetries, 2u * FaultInjectionConfig::MaxDmaRetries);
 }
 
 TEST_P(FaultRecoveryProperty, ListDmaSurvivesRandomRejectionMixes) {

@@ -50,8 +50,6 @@ MachineConfig soakConfig(uint64_t Seed, bool AllowZeroAccels) {
   Cfg.Faults.AccelDeathRate = Rng.nextFloat() * 0.1f;
   Cfg.Faults.DmaFailRate = Rng.nextFloat() * 0.3f;
   Cfg.Faults.DmaDelayRate = Rng.nextFloat() * 0.3f;
-  Cfg.Faults.DmaDelayCycles = 50 + Rng.nextBelow(1000);
-  Cfg.Faults.MaxDmaRetries = 1 + static_cast<unsigned>(Rng.nextBelow(6));
   return Cfg;
 }
 

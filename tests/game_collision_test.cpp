@@ -12,7 +12,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <set>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 using namespace omm;
 using namespace omm::game;
@@ -112,6 +117,143 @@ TEST(Broadphase, PairsAreCanonicalAndUnique) {
     EXPECT_LT(Pair.FirstId, Pair.SecondId);
     EXPECT_TRUE(Seen.insert({Pair.FirstId, Pair.SecondId}).second)
         << "duplicate pair";
+  }
+}
+
+namespace {
+
+using IdPair = std::pair<uint32_t, uint32_t>;
+
+/// Brute-force reference for broadphaseHost: every entity pair, O(n^2),
+/// through the same coarse sphere test, ordered the way the grid walk
+/// visits them. The walk takes occupied cells in (X, Y, Z) order; in
+/// each cell it visits same-cell pairs first, then each of the 13
+/// forward neighbour offsets in turn, with entities in index order
+/// inside a cell.
+std::vector<IdPair> referencePairs(const EntityStore &Store) {
+  static constexpr int32_t Forward[13][3] = {
+      {1, 0, 0},  {0, 1, 0},  {0, 0, 1},  {1, 1, 0},  {1, -1, 0},
+      {1, 0, 1},  {1, 0, -1}, {0, 1, 1},  {0, 1, -1}, {1, 1, 1},
+      {1, 1, -1}, {1, -1, 1}, {1, -1, -1}};
+  using Cell = std::tuple<int32_t, int32_t, int32_t>;
+  const float InvCell = 1.0f / CollisionParams::CellSize;
+  std::vector<GameEntity> Es;
+  std::vector<Cell> Cells;
+  for (uint32_t I = 0; I != Store.size(); ++I) {
+    Es.push_back(Store.peek(I));
+    const Vec3 &P = Es.back().Position;
+    Cells.emplace_back(static_cast<int32_t>(std::floor(P.X * InvCell)),
+                       static_cast<int32_t>(std::floor(P.Y * InvCell)),
+                       static_cast<int32_t>(std::floor(P.Z * InvCell)));
+  }
+  auto ForwardIndex = [&](const Cell &From, const Cell &To) -> int {
+    for (int K = 0; K != 13; ++K)
+      if (To == Cell(std::get<0>(From) + Forward[K][0],
+                     std::get<1>(From) + Forward[K][1],
+                     std::get<2>(From) + Forward[K][2]))
+        return K;
+    return -1;
+  };
+  // (walk cell, 0 for same-cell or 1 + forward offset, walk-cell entity,
+  // neighbour entity).
+  using Key = std::tuple<Cell, int, uint32_t, uint32_t>;
+  std::vector<Key> Keys;
+  for (uint32_t I = 0; I != Store.size(); ++I)
+    for (uint32_t J = I + 1; J != Store.size(); ++J) {
+      if (!spheresOverlap(Es[I].Position, Es[I].Radius * 1.2f,
+                          Es[J].Position, Es[J].Radius * 1.2f))
+        continue;
+      if (Cells[I] == Cells[J]) {
+        Keys.emplace_back(Cells[I], 0, I, J);
+      } else if (int K = ForwardIndex(Cells[I], Cells[J]); K >= 0) {
+        Keys.emplace_back(Cells[I], 1 + K, I, J);
+      } else if (int K = ForwardIndex(Cells[J], Cells[I]); K >= 0) {
+        Keys.emplace_back(Cells[J], 1 + K, J, I);
+      } else {
+        ADD_FAILURE() << "overlap between non-adjacent cells: " << I
+                      << ", " << J;
+      }
+    }
+  std::sort(Keys.begin(), Keys.end());
+  std::vector<IdPair> Pairs;
+  for (const auto &[C, Phase, A, B] : Keys)
+    Pairs.emplace_back(std::min(A, B), std::max(A, B));
+  return Pairs;
+}
+
+/// Moves the first entities onto the walls, corners and edges of the
+/// world, where the physics clamp leaves them, two per spot: one on
+/// the wall and one a unit further in, so pairs overlap across it.
+void clampSomeToWalls(EntityStore &Store) {
+  const float H = Store.worldHalfExtent();
+  const Vec3 Spots[] = {Vec3(H, H, H),   Vec3(-H, -H, -H), Vec3(H, -H, 0),
+                        Vec3(-H, H, H),  Vec3(0, 0, H),    Vec3(0, -H, 0),
+                        Vec3(H, 0.5f, -H)};
+  auto Inward = [](float C) { return C > 0 ? C - 1 : (C < 0 ? C + 1 : C); };
+  uint32_t I = 0;
+  for (const Vec3 &Spot : Spots) {
+    GameEntity E = Store.peek(I);
+    E.Position = Spot;
+    Store.poke(I++, E);
+    E = Store.peek(I);
+    E.Position = Vec3(Inward(Spot.X), Inward(Spot.Y), Inward(Spot.Z));
+    Store.poke(I++, E);
+  }
+}
+
+/// Places one overlapping pair straddling the boundary of cell (0, 0, 0)
+/// toward each of the 13 forward neighbours, using entities from
+/// \p First on, so every neighbour offset of the walk has a pair to find.
+void straddleEveryForwardOffset(EntityStore &Store, uint32_t First) {
+  uint32_t I = First;
+  auto Near = [](int D) { return D > 0 ? 7.6f : (D < 0 ? 0.4f : 4.0f); };
+  for (int DX = -1; DX <= 1; ++DX)
+    for (int DY = -1; DY <= 1; ++DY)
+      for (int DZ = -1; DZ <= 1; ++DZ) {
+        // Forward offsets are the ones whose first non-zero step is +1.
+        int Lead = DX != 0 ? DX : (DY != 0 ? DY : DZ);
+        if (Lead != 1)
+          continue;
+        GameEntity E = Store.peek(I);
+        E.Position = Vec3(Near(DX), Near(DY), Near(DZ));
+        E.Radius = 1.0f;
+        Store.poke(I++, E);
+        Vec3 Across = E.Position + Vec3(DX * 0.8f, DY * 0.8f, DZ * 0.8f);
+        E = Store.peek(I);
+        E.Position = Across;
+        E.Radius = 1.0f;
+        Store.poke(I++, E);
+      }
+  ASSERT_EQ(I, First + 26);
+}
+
+} // namespace
+
+TEST(Broadphase, MatchesBruteForceReferenceInOrder) {
+  struct World {
+    uint32_t Count;
+    uint64_t Seed;
+    float HalfExtent;
+  };
+  // Sparse to dense, and 32 puts the +H wall exactly on a cell boundary.
+  const World Worlds[] = {
+      {300, 5, 30.0f}, {500, 11, 60.0f}, {250, 17, 12.0f}, {400, 23, 32.0f}};
+  for (const World &W : Worlds) {
+    Machine M;
+    EntityStore Store(M, W.Count, W.Seed, W.HalfExtent);
+    clampSomeToWalls(Store);
+    straddleEveryForwardOffset(Store, 14);
+    std::vector<CollisionPair> Pairs =
+        broadphaseHost(Store, CollisionParams());
+    std::vector<IdPair> Got;
+    for (const CollisionPair &Pair : Pairs) {
+      Got.emplace_back(Pair.FirstId, Pair.SecondId);
+      EXPECT_EQ(Pair.FirstAddr, Store.entity(Pair.FirstId).addr().Value);
+      EXPECT_EQ(Pair.SecondAddr, Store.entity(Pair.SecondId).addr().Value);
+    }
+    std::vector<IdPair> Want = referencePairs(Store);
+    ASSERT_FALSE(Want.empty()) << "seed " << W.Seed;
+    EXPECT_EQ(Got, Want) << "seed " << W.Seed << " extent " << W.HalfExtent;
   }
 }
 

@@ -58,7 +58,6 @@ struct ArchPoint {
   const char *Name;
   uint64_t DmaLatency;
   uint64_t BytesPerCycle;
-  unsigned QueueDepth;
   unsigned Accelerators;
   bool SharedMemory;
 };
@@ -71,7 +70,6 @@ MachineConfig configFor(const ArchPoint &Point) {
                              : MachineConfig::cellLike();
   Config.DmaLatencyCycles = Point.DmaLatency;
   Config.DmaBytesPerCycle = Point.BytesPerCycle;
-  Config.DmaQueueDepth = Point.QueueDepth;
   Config.NumAccelerators = Point.Accelerators;
   return Config;
 }
@@ -81,13 +79,13 @@ MachineConfig configFor(const ArchPoint &Point) {
 INSTANTIATE_TEST_SUITE_P(
     MemoryArchitectures, ArchSweep,
     ::testing::Values(
-        ArchPoint{"cell_default", 200, 8, 16, 6, false},
-        ArchPoint{"slow_narrow", 1000, 1, 2, 6, false},
-        ArchPoint{"fast_wide", 20, 64, 32, 6, false},
-        ArchPoint{"few_cores", 200, 8, 16, 2, false},
-        ArchPoint{"one_core", 200, 8, 16, 1, false},
-        ArchPoint{"tiny_queue", 400, 4, 1, 6, false},
-        ArchPoint{"smp", 0, 64, 16, 6, true}),
+        ArchPoint{"cell_default", 200, 8, 6, false},
+        ArchPoint{"slow_narrow", 1000, 1, 6, false},
+        ArchPoint{"fast_wide", 20, 64, 6, false},
+        ArchPoint{"few_cores", 200, 8, 2, false},
+        ArchPoint{"one_core", 200, 8, 1, false},
+        ArchPoint{"half_bandwidth", 400, 4, 6, false},
+        ArchPoint{"smp", 0, 64, 6, true}),
     [](const auto &Info) { return Info.param.Name; });
 
 TEST_P(ArchSweep, GameStateIsArchitectureIndependent) {

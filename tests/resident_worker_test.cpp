@@ -38,17 +38,27 @@ using namespace omm::offload;
 using namespace omm::sim;
 
 TEST(ResidentWorker, ClockTiesRoundRobinAcrossWorkers) {
-  // Zero out every per-descriptor cost so all worker clocks stay tied
-  // forever; only the (executed, accel id) tie-break spreads the work.
-  MachineConfig Cfg;
-  Cfg.HostLaunchCycles = 0;
-  Cfg.MailboxDoorbellCycles = 0;
-  Cfg.MailboxDescriptorCycles = 0;
-  Machine M(Cfg);
+  // Before every pick, merge all worker clocks to the latest one, so
+  // each pick sees a clock tie and only the (executed, accel id)
+  // tie-break spreads the work.
+  Machine M;
+  ResidentWorkerPool Pool(M, ~0u);
+  ASSERT_EQ(Pool.liveCount(), M.numAccelerators());
   const uint32_t PerWorker = 10;
   const uint32_t Count = PerWorker * M.numAccelerators();
-  auto Stats = distributeJobs(
-      M, Count, {.ChunkSize = 1}, [](OffloadContext &, uint32_t, uint32_t) {});
+  DispatchPlan Plan(Count);
+  auto Body = [](OffloadContext &, uint32_t, uint32_t) {};
+  while (!Plan.done()) {
+    uint64_t Latest = 0;
+    for (unsigned W = 0; W != Pool.liveCount(); ++W)
+      Latest = std::max(Latest, M.accel(Pool.accelId(W)).Clock.now());
+    for (unsigned W = 0; W != Pool.liveCount(); ++W)
+      M.accel(Pool.accelId(W)).Clock.mergeTo(Latest);
+    unsigned W = Pool.pickWorker();
+    Pool.dispatch(W, Plan.chunk(1));
+    ASSERT_TRUE(Pool.executeNext(W, Body));
+  }
+  JobRunStats Stats = Pool.finish(Plan);
   ASSERT_EQ(Stats.WorkerChunks.size(), M.numAccelerators());
   for (unsigned W = 0; W != M.numAccelerators(); ++W)
     EXPECT_EQ(Stats.WorkerChunks[W], PerWorker) << "worker " << W;

@@ -123,7 +123,6 @@ TEST(DmaProperties, FunctionalResultIndependentOfTiming) {
     MachineConfig Slow = MachineConfig::cellLike();
     Slow.DmaLatencyCycles = 3000;
     Slow.DmaBytesPerCycle = 1;
-    Slow.DmaQueueDepth = 2;
     std::vector<uint8_t> FastState, SlowState;
     runProgram(Fast, Program, &FastState);
     runProgram(Slow, Program, &SlowState);
@@ -177,28 +176,34 @@ TEST(DmaProperties, WaitEstablishesHappensBefore) {
 }
 
 TEST(DmaProperties, QueueDepthNeverExceeded) {
-  // With depth D, at most D transfers can ever be in flight at the
-  // issuing core's current time.
+  // At most DmaQueueDepth transfers are ever in flight at the issuing
+  // core's current time. Bursts longer than the queue between random
+  // waits, on a narrow link that serialises the data phases, outrun it.
+  constexpr unsigned Depth = MachineConfig::DmaQueueDepth;
+  constexpr uint32_t Size = 128;
   MachineConfig Config = MachineConfig::cellLike();
-  Config.DmaQueueDepth = 3;
+  Config.DmaBytesPerCycle = 1;
   Machine M(Config);
   Accelerator &A = M.accel(0);
-  GlobalAddr G = M.allocGlobal(64 * 64);
-  LocalAddr L = A.Store.alloc(64 * 64);
+  GlobalAddr G = M.allocGlobal(64 * Size);
+  LocalAddr L = A.Store.alloc(64 * Size);
   SplitMix64 Rng(0xDEE9);
-  for (int I = 0; I != 64; ++I) {
-    A.Dma.get(L + I * 64, G + I * 64, 64, I % 8);
-    // Count in-flight (completion in the future) transfers.
+  // Data phases serialise in issue order, so a transfer's completion is
+  // its tag's latest completion right after it is issued.
+  std::vector<uint64_t> Completions;
+  uint64_t BurstLeft = Depth + 1 + Rng.nextBelow(Depth);
+  for (unsigned I = 0; I != 64; ++I) {
+    unsigned Tag = I % 8;
+    A.Dma.get(L + I * Size, G + I * Size, Size, Tag);
+    Completions.push_back(A.Dma.lastCompletionForTag(Tag));
     unsigned InFlight = 0;
-    for (unsigned Tag = 0; Tag != 8; ++Tag)
-      if (A.Dma.lastCompletionForTag(Tag) > A.Clock.now())
-        ++InFlight;
-    // lastCompletionForTag is per-tag max; the strict bound is checked
-    // by the engine internally, but at minimum the issuing core must
-    // have been stalled rather than oversubscribing:
-    ASSERT_LE(InFlight, 8u);
-    if (Rng.nextBool(0.3f))
+    for (uint64_t Done : Completions)
+      InFlight += Done > A.Clock.now() ? 1 : 0;
+    ASSERT_LE(InFlight, Depth) << "transfer " << I;
+    if (--BurstLeft == 0) {
       A.Dma.waitTag(static_cast<unsigned>(Rng.nextBelow(8)));
+      BurstLeft = Depth + 1 + Rng.nextBelow(Depth);
+    }
   }
   A.Dma.waitAll();
   EXPECT_GT(A.Counters.DmaQueueFullStallCycles, 0u);

@@ -179,13 +179,13 @@ TEST_F(DmaTest, BarrierOrdersAcrossTags) {
 }
 
 TEST_F(DmaTest, QueueDepthStallsIssuer) {
-  MachineConfig Cfg = MachineConfig::cellLike();
-  Cfg.DmaQueueDepth = 2;
-  Machine Small(Cfg);
-  Accelerator &A = Small.accel(0);
-  GlobalAddr Src = Small.allocGlobal(1024);
-  LocalAddr Dst = A.Store.alloc(1024);
-  for (unsigned I = 0; I != 4; ++I)
+  // Issue four transfers more than the MFC queue holds, back to back:
+  // the overflow must stall the issuing core.
+  Accelerator &A = M.accel(0);
+  const unsigned Transfers = MachineConfig::DmaQueueDepth + 4;
+  GlobalAddr Src = M.allocGlobal(Transfers * 256);
+  LocalAddr Dst = A.Store.alloc(Transfers * 256);
+  for (unsigned I = 0; I != Transfers; ++I)
     A.Dma.get(Dst + I * 256, Src + I * 256, 256, 0);
   EXPECT_GT(A.Counters.DmaQueueFullStallCycles, 0u);
   A.Dma.waitAll();

@@ -138,11 +138,10 @@ namespace {
 /// workers, one idle thief that repeatedly steals and drains — and
 /// \returns the sequence of victim accelerator ids its probes chose
 /// (DispatchEventKind::StealProbe's Detail payload).
-std::vector<uint64_t> victimSequence(StealPolicy Policy, uint64_t Seed) {
+std::vector<uint64_t> victimSequence(StealPolicy Policy) {
   MachineConfig Cfg;
   Cfg.NumAccelerators = 4;
   Cfg.WorkStealing = Policy;
-  Cfg.StealSeed = Seed;
   Machine M(Cfg);
   trace::TraceRecorder Rec(M);
   ResidentWorkerPool Pool(M, 4);
@@ -173,19 +172,38 @@ std::vector<uint64_t> victimSequence(StealPolicy Policy, uint64_t Seed) {
 } // namespace
 
 TEST(WorkStealing, VictimRotationIsSeededAndDeterministic) {
-  std::vector<uint64_t> A = victimSequence(StealPolicy::Rotation, 42);
-  std::vector<uint64_t> B = victimSequence(StealPolicy::Rotation, 42);
-  // Same seed, same machine: the victim sequence replays exactly.
+  std::vector<uint64_t> A = victimSequence(StealPolicy::Rotation);
+  std::vector<uint64_t> B = victimSequence(StealPolicy::Rotation);
+  // Same seeded stream, same machine: the victim sequence replays
+  // exactly.
   EXPECT_EQ(A, B);
   ASSERT_EQ(A.size(), 3u);
   for (uint64_t V : A)
     EXPECT_LT(V, 3u) << "probe must pick a loaded victim";
-  // The rotation must be a function of the seed, not a fixed order —
-  // across a handful of seeds more than one first-victim shows up.
-  bool SeedMatters = false;
-  for (uint64_t Seed = 0; Seed != 8 && !SeedMatters; ++Seed)
-    SeedMatters = victimSequence(StealPolicy::Rotation, Seed)[0] != A[0];
-  EXPECT_TRUE(SeedMatters);
+  // The victim must be a function of the drawn rotation, not a fixed
+  // order: among equally loaded victims, the rotation offsets a probe
+  // can draw pick more than one of them.
+  MachineConfig Cfg;
+  Cfg.NumAccelerators = 4;
+  Cfg.WorkStealing = StealPolicy::Rotation;
+  Machine M(Cfg);
+  ResidentWorkerPool Pool(M, 4);
+  for (unsigned Acc = 0; Acc != 3; ++Acc)
+    Pool.dispatchBulk(Pool.findWorkerFor(Acc),
+                      unitChunks(Acc * 100, 6, Acc * 100));
+  unsigned Thief = Pool.findWorkerFor(3);
+  unsigned First = Pool.pickVictim(Thief, 0);
+  bool RotationMatters = false;
+  for (unsigned Rotation = 1; Rotation != 4 && !RotationMatters; ++Rotation)
+    RotationMatters = Pool.pickVictim(Thief, Rotation) != First;
+  EXPECT_TRUE(RotationMatters);
+  auto Empty = [](OffloadContext &, uint32_t, uint32_t) {};
+  for (unsigned Acc = 0; Acc != 3; ++Acc) {
+    unsigned W = Pool.findWorkerFor(Acc);
+    while (!Pool.mailbox(W).empty())
+      Pool.executeNext(W, Empty);
+  }
+  Pool.close();
 }
 
 TEST(WorkStealing, LocalityAwarePrefersTheRangeAdjacentVictim) {
@@ -315,10 +333,7 @@ TEST(WorkStealing, NonePolicyIgnoresEveryOtherStealKnob) {
   // nothing unless stealing is on.
   MachineConfig Plain;
   MachineConfig Knobbed;
-  Knobbed.StealProbeCycles = 9999;
-  Knobbed.StealGrantCycles = 7777;
-  Knobbed.StealMinBacklog = 5;
-  Knobbed.StealSeed = 123456789;
+  Knobbed.StealRemoteMinBacklog = 9;
   Knobbed.StealSliceChunks = 11;
   EXPECT_EQ(skewedQueueCycles(Plain), skewedQueueCycles(Knobbed));
 }

@@ -48,7 +48,6 @@ MachineConfig soakConfig(uint64_t Seed) {
   MachineConfig Cfg = MachineConfig::cellLike();
   Cfg.NumAccelerators = 1 + static_cast<unsigned>(Rng.nextBelow(6));
   Cfg.ChunkDeadlineCycles = TenantDeadline;
-  Cfg.CancelPollCycles = 32;
   constexpr DeadlinePolicy Policies[] = {DeadlinePolicy::None,
                                          DeadlinePolicy::CancelRestart,
                                          DeadlinePolicy::Speculate};
@@ -62,7 +61,6 @@ MachineConfig soakConfig(uint64_t Seed) {
   Cfg.Faults.AccelDeathRate = Rng.nextFloat() * 0.02f;
   Cfg.Faults.DmaFailRate = Rng.nextFloat() * 0.2f;
   Cfg.Faults.DmaDelayRate = Rng.nextFloat() * 0.2f;
-  Cfg.Faults.DmaDelayCycles = 50 + Rng.nextBelow(1000);
   return Cfg;
 }
 
@@ -73,12 +71,10 @@ TenantServerParams policyFor(SplitMix64 &Rng) {
   P.Mode = Rng.nextBool() ? ServeMode::Batched : ServeMode::RoundRobin;
   if (Rng.nextBool())
     P.TickBudgetCycles = 200000 + Rng.nextBelow(2000000);
-  P.MaxDeferTicks = 1 + static_cast<unsigned>(Rng.nextBelow(4));
   if (Rng.nextBelow(3) == 0) {
     P.QuarantineAfterFaults = 1 + static_cast<uint32_t>(Rng.nextBelow(3));
     P.ProbationTicks = static_cast<uint32_t>(Rng.nextBelow(3));
   }
-  P.BatchChunkElems = 8 + static_cast<uint32_t>(Rng.nextBelow(48));
   return P;
 }
 

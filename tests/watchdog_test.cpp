@@ -9,9 +9,9 @@
 // timing-fault experiment: a miss is detected at the next absolute
 // multiple of the check period, never at the deadline itself. These tests
 // pin the boundary cases — a deadline landing exactly on a grid tick, a
-// zero-cycle chunk deadline (disarmed), a zero check period — and the
-// re-arm mutators the tenant server uses to give each tenant its own
-// deadline without moving the grid.
+// zero-cycle chunk deadline (disarmed) — and the re-arm mutator the
+// tenant server uses to give each tenant its own deadline without moving
+// the grid.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,9 +23,8 @@ using namespace omm::sim;
 
 namespace {
 
-MachineConfig configWith(uint64_t Check, uint64_t Launch, uint64_t Chunk) {
+MachineConfig configWith(uint64_t Launch, uint64_t Chunk) {
   MachineConfig Cfg = MachineConfig::cellLike();
-  Cfg.WatchdogCheckCycles = Check;
   Cfg.LaunchDeadlineCycles = Launch;
   Cfg.ChunkDeadlineCycles = Chunk;
   return Cfg;
@@ -33,17 +32,14 @@ MachineConfig configWith(uint64_t Check, uint64_t Launch, uint64_t Chunk) {
 
 } // namespace
 
-TEST(WatchdogTimerTest, ArmingNeedsBothGridAndDeadline) {
-  // A deadline with no check grid never fires, and a grid with no
-  // deadline has nothing to check: both must be non-zero to arm.
-  EXPECT_FALSE(WatchdogTimer(configWith(0, 500, 500)).armsLaunches());
-  EXPECT_FALSE(WatchdogTimer(configWith(0, 500, 500)).armsChunks());
-  EXPECT_FALSE(WatchdogTimer(configWith(200, 0, 0)).armsLaunches());
-  EXPECT_FALSE(WatchdogTimer(configWith(200, 0, 0)).armsChunks());
-  WatchdogTimer Armed(configWith(200, 500, 700));
+TEST(WatchdogTimerTest, ArmingNeedsADeadline) {
+  // The check grid is a machine constant, so a non-zero deadline is
+  // what arms the watchdog.
+  EXPECT_FALSE(WatchdogTimer(configWith(0, 0)).armsLaunches());
+  EXPECT_FALSE(WatchdogTimer(configWith(0, 0)).armsChunks());
+  WatchdogTimer Armed(configWith(500, 700));
   EXPECT_TRUE(Armed.armsLaunches());
   EXPECT_TRUE(Armed.armsChunks());
-  EXPECT_EQ(Armed.checkCycles(), 200u);
   EXPECT_EQ(Armed.launchDeadline(), 500u);
   EXPECT_EQ(Armed.chunkDeadline(), 700u);
 }
@@ -51,39 +47,33 @@ TEST(WatchdogTimerTest, ArmingNeedsBothGridAndDeadline) {
 TEST(WatchdogTimerTest, DeadlineExactlyOnAGridTickDetectsAtThatTick) {
   // The sweep at cycle k*Check observes a deadline expiring at exactly
   // k*Check — detection adds zero latency on the boundary.
-  WatchdogTimer WD(configWith(200, 500, 500));
+  static_assert(MachineConfig::WatchdogCheckCycles == 200);
+  WatchdogTimer WD(configWith(500, 500));
   EXPECT_EQ(WD.detectionCycle(0), 0u);
   EXPECT_EQ(WD.detectionCycle(200), 200u);
   EXPECT_EQ(WD.detectionCycle(4000), 4000u);
 }
 
 TEST(WatchdogTimerTest, DeadlineBetweenTicksRoundsUpToTheNextSweep) {
-  WatchdogTimer WD(configWith(200, 500, 500));
+  WatchdogTimer WD(configWith(500, 500));
   EXPECT_EQ(WD.detectionCycle(1), 200u);
   EXPECT_EQ(WD.detectionCycle(199), 200u);
   EXPECT_EQ(WD.detectionCycle(201), 400u);
   EXPECT_EQ(WD.detectionCycle(399), 400u);
   // Detection latency is bounded by one period, exclusive.
+  const uint64_t Check = MachineConfig::WatchdogCheckCycles;
   for (uint64_t Cycle : {1u, 57u, 200u, 4321u, 99999u}) {
     uint64_t At = WD.detectionCycle(Cycle);
     EXPECT_GE(At, Cycle);
-    EXPECT_LT(At - Cycle, WD.checkCycles());
-    EXPECT_EQ(At % WD.checkCycles(), 0u);
+    EXPECT_LT(At - Cycle, Check);
+    EXPECT_EQ(At % Check, 0u);
   }
-}
-
-TEST(WatchdogTimerTest, ZeroCheckPeriodDetectsImmediately) {
-  // No grid: detectionCycle degenerates to the identity, and nothing
-  // arms — the fail-stop model's "no watchdog" configuration.
-  WatchdogTimer WD(configWith(0, 0, 0));
-  EXPECT_EQ(WD.detectionCycle(0), 0u);
-  EXPECT_EQ(WD.detectionCycle(12345), 12345u);
 }
 
 TEST(WatchdogTimerTest, ZeroCycleChunkDeadlineIsDisarmedNotInstant) {
   // A zero-cycle deadline means "no deadline", never "already missed":
   // armsChunks is false while the launch deadline stays armed.
-  WatchdogTimer WD(configWith(200, 500, 0));
+  WatchdogTimer WD(configWith(500, 0));
   EXPECT_TRUE(WD.armsLaunches());
   EXPECT_FALSE(WD.armsChunks());
 }
@@ -92,7 +82,7 @@ TEST(WatchdogTimerTest, ReArmAfterRecoveryChangesDeadlineNotGrid) {
   // The tenant server re-arms the chunk deadline around every tenant
   // slice. The deadline moves; the absolute check grid must not — a
   // re-arm that shifted detection cycles would break replay.
-  WatchdogTimer WD(configWith(200, 0, 20000));
+  WatchdogTimer WD(configWith(0, 20000));
   EXPECT_TRUE(WD.armsChunks());
   uint64_t DetectBefore = WD.detectionCycle(1234567);
 
@@ -106,11 +96,13 @@ TEST(WatchdogTimerTest, ReArmAfterRecoveryChangesDeadlineNotGrid) {
   EXPECT_EQ(WD.detectionCycle(1234567), DetectBefore);
 }
 
-TEST(WatchdogTimerTest, LaunchDeadlineReArmsIndependently) {
-  WatchdogTimer WD(configWith(200, 0, 0));
-  EXPECT_FALSE(WD.armsLaunches());
-  WD.setLaunchDeadline(800);
+TEST(WatchdogTimerTest, ChunkReArmLeavesTheLaunchDeadline) {
+  WatchdogTimer WD(configWith(800, 0));
+  WD.setChunkDeadline(5000);
+  EXPECT_TRUE(WD.armsChunks());
   EXPECT_TRUE(WD.armsLaunches());
-  EXPECT_FALSE(WD.armsChunks());
   EXPECT_EQ(WD.launchDeadline(), 800u);
+  WD.setChunkDeadline(0);
+  EXPECT_FALSE(WD.armsChunks());
+  EXPECT_TRUE(WD.armsLaunches());
 }
