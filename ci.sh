@@ -19,7 +19,8 @@
 #                    frame-cycle tail against the committed baseline
 #                    (E11), the work-stealing p99 win floor (E12), the
 #                    parcel-dataflow frame-cycle win over the
-#                    host-staged schedule (E13), and the multi-tenant
+#                    host-staged schedule, flat and across two domains
+#                    (E13), and the multi-tenant
 #                    isolation ceiling — a hang or straggler in one
 #                    tenant may not move the other tenants' pooled p99
 #                    by more than 5% (E15), and the domain-aware
@@ -108,11 +109,11 @@ python3 tools/bench_summary.py build/bench/BENCH_e12_smoke.json \
 
 echo "=== bench smoke: parcel dataflow (E13, via tools/sweeprun) ==="
 python3 tools/sweeprun --jobs "$JOBS" \
-    --filter 'FrameSchedule' \
+    --filter 'FrameSchedule|TwoDomainPipeline' \
     --out build/bench/BENCH_e13_smoke.json --log-dir "$SWEEP_LOGS/e13" \
     build/bench/bench_e13_parcels
 python3 tools/bench_summary.py build/bench/BENCH_e13_smoke.json \
-    --baseline BENCH_baseline --filter 'FrameSchedule' \
+    --baseline BENCH_baseline --filter 'FrameSchedule|TwoDomainPipeline' \
     --counters win_vs_staged,host_round_trips_eliminated
 # The headline claim: once every worker seeds a continuation chain,
 # the dataflow frame beats the host-staged schedule outright.  The
@@ -126,6 +127,13 @@ python3 tools/bench_summary.py build/bench/BENCH_e13_smoke.json \
 python3 tools/bench_summary.py build/bench/BENCH_e13_smoke.json \
     --filter 'FrameSchedule/workers:6/dataflow:1' \
     --require host_round_trips_eliminated '>' 0
+# Cross-domain parcels: on two domains of three cores with interconnect
+# premiums, the dataflow pipeline still beats the staged one only
+# because parcel transit overlaps the spawner's next descriptor
+# (measured 1.102; a spawner that waited out each send read 0.805).
+python3 tools/bench_summary.py build/bench/BENCH_e13_smoke.json \
+    --filter 'TwoDomainPipeline/stages:4' \
+    --require win_vs_staged '>=' 1.0
 
 echo "=== bench smoke: multi-tenant serving (E15, via tools/sweeprun) ==="
 python3 tools/sweeprun --jobs "$JOBS" \

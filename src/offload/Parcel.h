@@ -10,7 +10,8 @@
 /// boundaries are crossed accelerator-side instead of through the host.
 /// The host seeds only the first stage's descriptors; each completed
 /// descriptor then spawns its continuation straight into a peer
-/// worker's mailbox (Mailbox::pushParcel, charged to worker clocks), so
+/// worker's mailbox (Mailbox::pushParcel: the spawner pays the issue,
+/// the parcel lands after its transit, and the host pays nothing), so
 /// the per-stage host round trip — join, re-carve, re-doorbell — of the
 /// staged schedule is deleted. This is the HPX-parcel / active-message
 /// shape on top of the resident-worker runtime: a descriptor carries

@@ -183,18 +183,14 @@ ResidentWorkerPool::pickParcelTarget(unsigned W,
 
 void ResidentWorkerPool::spawnContinuation(unsigned W,
                                            const sim::WorkDescriptor &Done) {
-  const sim::MachineConfig &Cfg = M.config();
-  Worker &Wk = Live[W];
   if (Done.Policy == sim::ParcelPolicy::None)
     return;
   unsigned Target = pickParcelTarget(W, Done);
   sim::WorkDescriptor Child = DispatchPlan::continuation(
       Done, continuationOf(Done.NextKernel), SpawnSeq++,
       Live[Target].AccelId);
-  Live[Target].Box->pushParcel(Child, Wk.AccelId, Wk.BlockId);
+  PS.PeerDoorbellCycles += Live[Target].Box->pushParcel(Child, *Live[W].Box);
   ++PS.ParcelsSpawned;
-  PS.PeerDoorbellCycles +=
-      Cfg.parcelSendCycles(Wk.AccelId, Live[Target].AccelId);
   ++PS.DescriptorsDispatched;
   unparkAll();
 }
@@ -297,6 +293,7 @@ unsigned ResidentWorkerPool::trySteal(unsigned W) {
 
 void ResidentWorkerPool::closeWorker(Worker &Wk) {
   sim::Accelerator &Accel = M.accel(Wk.AccelId);
+  Wk.Box->awaitParcelSends();
   if (sim::DmaObserver *Obs = M.observer())
     Obs->onBlockEnd(Wk.AccelId, Wk.BlockId, Accel.Clock.now());
   Accel.Dma.waitAll();

@@ -120,7 +120,8 @@ struct JobRunStats {
   /// Continuation parcels spawned worker-to-worker (never through the
   /// host); each one deletes a host round trip of the staged schedule.
   uint64_t ParcelsSpawned = 0;
-  /// Spawner cycles paid in peer doorbells + peer descriptor copies.
+  /// Spawner cycles paid for parcel sends: ParcelIssueCycles per send,
+  /// plus stalls on a full ParcelSendsInFlight window.
   uint64_t PeerDoorbellCycles = 0;
 
   /// max/mean busy ratio; 1.0 = perfectly balanced.
@@ -241,10 +242,10 @@ public:
   /// range form) or, when it accepts one, as Body(Ctx, Desc) so staged
   /// dataflow bodies can dispatch on Desc.Kernel. A completed
   /// descriptor with a continuation (WorkDescriptor::hasContinuation)
-  /// spawns its child parcel into a peer mailbox afterwards, charged
-  /// to this worker's clock — death happens at the pop boundary,
-  /// *before* the body, so a killed worker never spawned: re-running
-  /// the parent re-spawns exactly once.
+  /// spawns its child parcel into a peer mailbox afterwards; this
+  /// worker pays only the issue and moves on. Death happens at the pop
+  /// boundary, *before* the body, so a killed worker never spawned:
+  /// re-running the parent re-spawns exactly once.
   template <typename BodyFn>
   bool executeNext(unsigned W, BodyFn &Body) {
     Worker &Wk = Live[W];
@@ -432,8 +433,9 @@ private:
   /// HostFallbackChunks plus a HostFallback fault event.
   void noteHostFallback(uint64_t BlockId, uint32_t Begin);
 
-  /// Ends worker \p W's block (observer, DMA drain, arena reset,
-  /// FreeAt) and folds its finish time into the makespan.
+  /// Ends worker \p W's block once its last parcel send has landed
+  /// (observer, DMA drain, arena reset, FreeAt) and folds its finish
+  /// time into the makespan.
   void closeWorker(Worker &Wk);
 
   /// The death path: orphans \p Popped plus the mailbox backlog, bills
@@ -463,9 +465,10 @@ private:
 
   /// Worker \p W completed \p Done, which carries a continuation:
   /// builds the child through DispatchPlan::continuation, picks the
-  /// recipient under Done.Policy and pushes the parcel into its
-  /// mailbox, all charged to \p W's accelerator clock
-  /// (Mailbox::pushParcel). The host is not involved.
+  /// recipient under Done.Policy and issues the parcel into its
+  /// mailbox; \p W's clock pays the issue (and any in-flight stall)
+  /// while the parcel is in transit (Mailbox::pushParcel). The host is
+  /// not involved.
   void spawnContinuation(unsigned W, const sim::WorkDescriptor &Done);
 
   /// The recipient for a completed \p Done's continuation parcel under

@@ -101,13 +101,14 @@ enum class DispatchEventKind : uint8_t {
                    ///< victim accel id).
   DescriptorRun,   ///< A worker ran one descriptor body: [Begin, End)
                    ///< from Cycle to EndCycle in worker time.
-  ParcelSpawn,     ///< A worker published a continuation descriptor into
-                   ///< a peer's mailbox (Detail = recipient accel id;
-                   ///< Cycle is the *spawner's* clock after paying the
-                   ///< peer doorbell + descriptor DMA).
+  ParcelSpawn,     ///< A worker issued a continuation descriptor to a
+                   ///< peer's mailbox (Detail = recipient accel id;
+                   ///< Cycle is the *spawner's* clock after the issue).
   ParcelDeliver,   ///< The recipient side of a ParcelSpawn: the parcel
                    ///< landed in AccelId's mailbox (Detail = spawner
-                   ///< accel id, Begin the parcel's begin index).
+                   ///< accel id, Begin the parcel's begin index; Cycle
+                   ///< is the landing, parcelSendCycles after the
+                   ///< spawn's Cycle).
 };
 
 /// \returns a stable lower-case name for \p Kind (trace/report output).

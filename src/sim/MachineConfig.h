@@ -304,19 +304,33 @@ struct MachineConfig {
   /// different domains.
   uint64_t InterDomainDescriptorDmaCycles = 0;
 
-  /// Spawner-side cycles to ring a *peer* worker's doorbell when
-  /// spawning a continuation parcel (the uncached store into the peer's
-  /// doorbell line plus the visibility barrier). Cheaper than a steal
+  /// Transit cycles of ringing a *peer* worker's doorbell when spawning
+  /// a continuation parcel (the uncached store into the peer's doorbell
+  /// line plus the visibility barrier). Part of parcelSendCycles, the
+  /// send's latency: the spawner only issues the command
+  /// (ParcelIssueCycles) and moves on. Cheaper than a steal
   /// probe+grant — the spawner already owns the work, so there is no
   /// claim handshake — but dearer than the host's MailboxDoorbellCycles
   /// because the store crosses the accelerator interconnect.
   uint64_t PeerDoorbellCycles = 60;
 
-  /// Spawner-side cycles to copy one continuation descriptor from the
-  /// spawner's local store into the recipient's (a small
-  /// store-to-store DMA; same order as MailboxDescriptorCycles, which
-  /// is the equivalent main-memory round trip).
+  /// Transit cycles of copying one continuation descriptor from the
+  /// spawner's local store into the recipient's (a small store-to-store
+  /// DMA; same order as MailboxDescriptorCycles, which is the
+  /// equivalent main-memory round trip). Part of parcelSendCycles; the
+  /// spawner does not wait for it.
   static constexpr uint64_t PeerDescriptorDmaCycles = 200;
+
+  /// Spawner-side cycles to issue one continuation parcel: two MFC
+  /// commands, one putting the descriptor into the recipient's local
+  /// store and one fenced command ringing its doorbell. This is all a
+  /// send costs the spawner unless it stalls on ParcelSendsInFlight.
+  static constexpr uint64_t ParcelIssueCycles = 2 * DmaIssueCycles;
+
+  /// Parcel sends one spawner may have in flight. Each send holds two
+  /// of the DmaQueueDepth MFC queue slots until it lands, so a further
+  /// send stalls the spawner until the earliest in-flight one lands.
+  static constexpr unsigned ParcelSendsInFlight = DmaQueueDepth / 2;
 
   /// Deterministic fault injection (off by default).
   FaultInjectionConfig Faults;
@@ -359,10 +373,12 @@ struct MachineConfig {
            (domainOf(AccelId) == 0 ? 0 : InterDomainDoorbellCycles);
   }
 
-  /// Spawner-side cost of delivering one continuation parcel from
-  /// \p Spawner to \p Recipient: peer doorbell plus the store-to-store
-  /// descriptor copy, each with its premium when the parcel crosses a
-  /// domain boundary. Mailbox::pushParcel charges exactly this.
+  /// Transit latency of one continuation parcel from \p Spawner to
+  /// \p Recipient: peer doorbell plus the store-to-store descriptor
+  /// copy, each with its premium when the parcel crosses a domain
+  /// boundary. The spawner pays only ParcelIssueCycles (plus any stall
+  /// on ParcelSendsInFlight); Mailbox::pushParcel lands the parcel
+  /// exactly this many cycles after the issue.
   uint64_t parcelSendCycles(unsigned Spawner, unsigned Recipient) const {
     uint64_t Cost = PeerDoorbellCycles + PeerDescriptorDmaCycles;
     if (!sameDomain(Spawner, Recipient))

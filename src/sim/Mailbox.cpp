@@ -59,33 +59,51 @@ void Mailbox::pushBulk(const std::vector<WorkDescriptor> &Descs) {
                     Descs.front().Seq, ReadyAt, Descs.size()});
 }
 
-void Mailbox::pushParcel(const WorkDescriptor &Desc, unsigned SpawnerAccelId,
-                         uint64_t SpawnerBlockId) {
+uint64_t Mailbox::pushParcel(const WorkDescriptor &Desc, Mailbox &From) {
   const MachineConfig &Cfg = M.config();
-  Accelerator &Spawner = M.accel(SpawnerAccelId);
-  // Both halves of the transaction are spawner-side: the doorbell store
-  // into the peer's line and the descriptor's store-to-store copy (both
-  // with their inter-domain premium when the parcel crosses a domain
-  // boundary). The recipient pays nothing until its own pop.
-  uint64_t Cost = Cfg.parcelSendCycles(SpawnerAccelId, AccelId);
-  Spawner.Clock.advance(Cost);
+  Accelerator &Spawner = M.accel(From.AccelId);
+  uint64_t Before = Spawner.Clock.now();
+  // Each send holds two MFC queue slots until it lands. With the queue's
+  // share full, the spawner stalls until the earliest send lands, like
+  // a DMA issued into a full queue.
+  std::erase_if(From.SendLandings, [&](uint64_t At) { return At <= Before; });
+  if (From.SendLandings.size() >= MachineConfig::ParcelSendsInFlight) {
+    auto Earliest =
+        std::min_element(From.SendLandings.begin(), From.SendLandings.end());
+    Spawner.Clock.advanceTo(*Earliest);
+    From.SendLandings.erase(Earliest);
+  }
+  // The spawner issues the descriptor put and the fenced doorbell, then
+  // moves on; both transfers (with their inter-domain premiums when the
+  // parcel crosses a domain boundary) are in transit from here.
+  Spawner.Clock.advance(MachineConfig::ParcelIssueCycles);
+  uint64_t IssuedAt = Spawner.Clock.now();
+  uint64_t LandedAt = IssuedAt + Cfg.parcelSendCycles(From.AccelId, AccelId);
+  From.SendLandings.push_back(LandedAt);
+  uint64_t Cost = IssuedAt - Before;
   Spawner.Counters.PeerDoorbellCycles += Cost;
   ++Spawner.Counters.ParcelsSpawned;
   ++M.accel(AccelId).Counters.DescriptorsDispatched;
-  uint64_t LandedAt = Spawner.Clock.now();
-  // The parcel is already in the recipient's local store (the spawner's
-  // DMA put it there), so the backlog leaves the bounded-FIFO regime
+  // The parcel lands in the recipient's local store (the spawner's DMA
+  // puts it there), so the backlog leaves the bounded-FIFO regime
   // exactly like a bulk or stolen placement.
   LocalBacklog = true;
   Slots.push_back(Slot{Desc, LandedAt, true});
   if (DmaObserver *Obs = M.observer()) {
-    Obs->onDispatchEvent({DispatchEventKind::ParcelSpawn, SpawnerAccelId,
-                          SpawnerBlockId, Desc.Seq, LandedAt, AccelId,
+    Obs->onDispatchEvent({DispatchEventKind::ParcelSpawn, From.AccelId,
+                          From.BlockId, Desc.Seq, IssuedAt, AccelId,
                           Desc.Begin, Desc.End, 0});
     Obs->onDispatchEvent({DispatchEventKind::ParcelDeliver, AccelId, BlockId,
-                          Desc.Seq, LandedAt, SpawnerAccelId, Desc.Begin,
+                          Desc.Seq, LandedAt, From.AccelId, Desc.Begin,
                           Desc.End, 0});
   }
+  return Cost;
+}
+
+void Mailbox::awaitParcelSends() {
+  for (uint64_t At : SendLandings)
+    M.accel(AccelId).Clock.advanceTo(At);
+  SendLandings.clear();
 }
 
 unsigned Mailbox::stealTailInto(Mailbox &Thief) {

@@ -24,6 +24,17 @@
 ///     that arrives before the doorbell has rung spins in units of this,
 ///     so its wake-up time is quantized like a real poll loop's.
 ///
+/// Resident workers also send each other continuation parcels
+/// (pushParcel), and those follow the MFC pattern of the paper's
+/// Figure 1: issue the transfer and keep computing. The spawner pays
+/// only MachineConfig::ParcelIssueCycles (two MFC commands: the
+/// descriptor put and a fenced doorbell); MachineConfig::parcelSendCycles
+/// is the send's transit latency, after which the parcel lands in the
+/// recipient's local store. A spawner has at most
+/// MachineConfig::ParcelSendsInFlight (8) sends in flight; the next one
+/// stalls it until the earliest lands, and its block retires only after
+/// its last send has landed (awaitParcelSends).
+///
 /// Like every sim device the mailbox is deterministic: push stamps the
 /// descriptor with the host clock, pop resolves the worker's wait
 /// against that stamp, and all costs are fixed by configuration. The
@@ -119,17 +130,26 @@ public:
   /// false) and is bounded by the region size instead.
   void pushBulk(const std::vector<WorkDescriptor> &Descs);
 
-  /// Worker side, worker-to-worker parcel delivery: accelerator
-  /// \p SpawnerAccelId publishes \p Desc straight into this mailbox,
-  /// paying PeerDoorbellCycles (the uncached store + barrier into the
-  /// peer's doorbell line) plus PeerDescriptorDmaCycles (the
-  /// local-store-to-local-store descriptor copy) on its *own* clock —
-  /// the host is never involved. The parcel lands in the recipient's
-  /// local-store deque (like a stolen descriptor), so its later pop
-  /// skips the fetch DMA and the bounded-FIFO depth does not apply:
-  /// spawning can never hit the fatal-full host path.
-  void pushParcel(const WorkDescriptor &Desc, unsigned SpawnerAccelId,
-                  uint64_t SpawnerBlockId);
+  /// Worker side, worker-to-worker parcel delivery: the worker owning
+  /// \p From sends \p Desc straight into this mailbox — the host is
+  /// never involved. The spawner pays ParcelIssueCycles on its own clock
+  /// and moves on; the parcel lands parcelSendCycles(spawner, recipient)
+  /// cycles after the issue (the peer doorbell and the local-store-to-
+  /// local-store descriptor copy, with their inter-domain premiums), and
+  /// the recipient's pop waits for that landing. When \p From already
+  /// has ParcelSendsInFlight sends in flight, the spawner first stalls
+  /// until the earliest of them lands. The parcel lands in the
+  /// recipient's local-store deque (like a stolen descriptor), so its
+  /// later pop skips the fetch DMA and the bounded-FIFO depth does not
+  /// apply: spawning can never hit the fatal-full host path.
+  /// \returns the spawner cycles charged (issue plus stall), which are
+  /// also billed to its PeerDoorbellCycles counter.
+  uint64_t pushParcel(const WorkDescriptor &Desc, Mailbox &From);
+
+  /// Spawner side, block retirement: advances this worker's clock to the
+  /// landing of its last parcel send still in flight. The worker has no
+  /// work left by then, so the wait is idle time, not a send cost.
+  void awaitParcelSends();
 
   /// Worker side, the steal handshake: \p Thief's accelerator claims
   /// the newest floor(size/2) descriptors of this backlog (order
@@ -186,6 +206,9 @@ private:
   /// deque and is no longer bounded by MailboxDepth.
   bool LocalBacklog = false;
   std::deque<Slot> Slots;
+  /// Landing cycles of the parcels this worker sent that may still be
+  /// in flight (at most ParcelSendsInFlight entries).
+  std::vector<uint64_t> SendLandings;
 };
 
 } // namespace omm::sim

@@ -17,12 +17,15 @@
 #include "game/GameWorld.h"
 
 #include "offload/OffloadContext.h"
+#include "offload/Parcel.h"
 #include "server/TenantServer.h"
 #include "offload/Ptr.h"
 #include "sim/FaultInjector.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace omm;
 using namespace omm::game;
@@ -76,19 +79,25 @@ RunResult runFrames(const MachineConfig &Cfg) {
   return collectResult(M, World);
 }
 
-/// As runFrames, on the persistent-worker schedule. \p KillSeed != 0
-/// layers two scheduled deaths (one at a launch, one in the doorbell
-/// loop) over the random rates, so every instance exercises the
-/// mailbox-drain recovery path deterministically.
+/// With \p KillSeed != 0 and faults enabled, layers two scheduled
+/// deaths (one at a launch, one in the doorbell loop) over the random
+/// rates, so every instance exercises the mailbox-drain recovery path
+/// deterministically.
+void scheduleKills(Machine &M, uint64_t KillSeed) {
+  if (KillSeed == 0 || !M.faults())
+    return;
+  SplitMix64 Rng(KillSeed);
+  M.faults()->scheduleKill(Rng.nextBelow(M.numAccelerators()),
+                           Rng.nextBelow(3));
+  M.faults()->scheduleChunkKill(Rng.nextBelow(M.numAccelerators()),
+                                Rng.nextBelow(5));
+}
+
+/// As runFrames, on the persistent-worker schedule, with scheduleKills'
+/// deaths for \p KillSeed.
 RunResult runResidentFrames(const MachineConfig &Cfg, uint64_t KillSeed = 0) {
   Machine M(Cfg);
-  if (KillSeed != 0 && M.faults()) {
-    SplitMix64 Rng(KillSeed);
-    M.faults()->scheduleKill(Rng.nextBelow(M.numAccelerators()),
-                             Rng.nextBelow(3));
-    M.faults()->scheduleChunkKill(Rng.nextBelow(M.numAccelerators()),
-                                  Rng.nextBelow(5));
-  }
+  scheduleKills(M, KillSeed);
   GameWorld World(M, worldParams());
   for (int F = 0; F != NumFrames; ++F)
     World.doFrameOffloadAiResident();
@@ -381,13 +390,7 @@ namespace {
 RunResult runDataflowFrames(const MachineConfig &Cfg, ParcelPolicy Policy,
                             uint64_t KillSeed = 0) {
   Machine M(Cfg);
-  if (KillSeed != 0 && M.faults()) {
-    SplitMix64 Rng(KillSeed);
-    M.faults()->scheduleKill(Rng.nextBelow(M.numAccelerators()),
-                             Rng.nextBelow(3));
-    M.faults()->scheduleChunkKill(Rng.nextBelow(M.numAccelerators()),
-                                  Rng.nextBelow(5));
-  }
+  scheduleKills(M, KillSeed);
   GameWorld World(M, worldParams());
   for (int F = 0; F != NumFrames; ++F)
     World.doFrameDataflow(Policy);
@@ -424,6 +427,57 @@ TEST_P(FaultRecoveryProperty, DataflowFramesMatchStagedBitForBit) {
         << "seed " << GetParam() << " policy "
         << static_cast<int>(Policy);
     EXPECT_GE(Injected.HostCycles, Clean.HostCycles);
+  }
+}
+
+namespace {
+
+/// Runs a synthetic three-stage dataflow region (64 indices in shards
+/// of 4) under \p Policy with scheduleKills' deaths for \p KillSeed.
+/// \returns how often each (shard, stage) body ran, host fallbacks
+/// included.
+std::vector<unsigned> countStageRuns(const MachineConfig &Cfg,
+                                     ParcelPolicy Policy, uint64_t KillSeed) {
+  constexpr uint32_t Count = 64, Chunk = 4;
+  constexpr uint16_t Stages = 3;
+  Machine M(Cfg);
+  scheduleKills(M, KillSeed);
+  std::vector<unsigned> Runs((Count / Chunk) * Stages, 0);
+  offload::DataflowOptions Opts;
+  Opts.ChunkSize = Chunk;
+  Opts.NumStages = Stages;
+  Opts.Policy = Policy;
+  (void)offload::runDataflow(
+      M, Count, Opts, [&](auto &Ctx, const WorkDescriptor &Desc) {
+        ++Runs[(Desc.Begin / Chunk) * Stages + (Desc.Kernel - 1)];
+        Ctx.compute(Desc.End - Desc.Begin);
+      });
+  return Runs;
+}
+
+} // namespace
+
+TEST_P(FaultRecoveryProperty, CrossDomainDataflowMatchesStagedExactlyOnce) {
+  // The dataflow property on domainFaultConfig's three-domain machine,
+  // where every other Ring edge crosses the interconnect: workers die
+  // with cross-domain parcels in flight to and from them, yet the
+  // frames compute the host-staged world bit for bit and every stage of
+  // every shard runs exactly once.
+  RunResult Reference = runStagedFrames(MachineConfig::cellLike());
+  MachineConfig Clean = domainFaultConfig(GetParam());
+  MachineConfig Faulty = Clean;
+  Faulty.Faults = faultsFor(GetParam());
+  for (ParcelPolicy Policy : {ParcelPolicy::Self, ParcelPolicy::Ring,
+                              ParcelPolicy::LeastLoaded}) {
+    SCOPED_TRACE(testing::Message() << "seed " << GetParam() << " policy "
+                                    << static_cast<int>(Policy));
+    EXPECT_EQ(runDataflowFrames(Clean, Policy).Checksum,
+              Reference.Checksum);
+    EXPECT_EQ(runDataflowFrames(Faulty, Policy, GetParam()).Checksum,
+              Reference.Checksum);
+    std::vector<unsigned> Runs = countStageRuns(Faulty, Policy, GetParam());
+    EXPECT_EQ(std::count(Runs.begin(), Runs.end(), 1u),
+              static_cast<std::ptrdiff_t>(Runs.size()));
   }
 }
 

@@ -8,8 +8,10 @@
 // The parcel layer's contract, asserted:
 //   - a staged dataflow region runs every stage of every shard exactly
 //     once, in stage order per shard, under every recipient policy;
-//   - parcel costs land on the spawner's clock and counters — the host
-//     pays doorbells only for the stage-1 seeds it dispatched;
+//   - a spawner pays only the issue of each parcel send, and the parcel
+//     lands parcelSendCycles later; at most ParcelSendsInFlight sends
+//     are in flight per spawner, and the host pays doorbells only for
+//     the stage-1 seeds it dispatched;
 //   - parcels sitting undelivered in a dead recipient's mailbox drain
 //     back through the ordinary recovery path and run exactly once,
 //     bit-identical to the fault-free run;
@@ -33,6 +35,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <vector>
 
 using namespace omm;
@@ -59,20 +63,22 @@ uint64_t stageValue(uint16_t Kernel, uint64_t V, uint32_t I) {
   }
 }
 
-/// Runs the pipeline through runDataflow, asserting per-shard stage
-/// order and exactly-once execution as it goes. \returns the final
-/// array contents through \p Data.
+/// Runs the pipeline through runDataflow in shards of \p Chunk indices,
+/// asserting per-shard stage order and exactly-once execution as it
+/// goes. \returns the final array contents through \p Out.
 JobRunStats runPipeline(Machine &M, ParcelPolicy Policy,
-                        std::vector<uint64_t> &Out) {
+                        std::vector<uint64_t> &Out,
+                        uint32_t Chunk = ChunkSize) {
   OuterPtr<uint64_t> Data = allocOuterArray<uint64_t>(M, Count);
-  std::vector<uint16_t> NextStage(NumShards, 1);
+  const uint32_t Shards = Count / Chunk;
+  std::vector<uint16_t> NextStage(Shards, 1);
   DataflowOptions Opts;
-  Opts.ChunkSize = ChunkSize;
+  Opts.ChunkSize = Chunk;
   Opts.NumStages = NumStages;
   Opts.Policy = Policy;
   JobRunStats Stats = runDataflow(
       M, Count, Opts, [&](auto &Ctx, const WorkDescriptor &Desc) {
-        uint32_t Shard = Desc.Begin / ChunkSize;
+        uint32_t Shard = Desc.Begin / Chunk;
         EXPECT_EQ(Desc.Kernel, NextStage[Shard])
             << "shard " << Shard << " ran stages out of order";
         ++NextStage[Shard];
@@ -84,7 +90,7 @@ JobRunStats runPipeline(Machine &M, ParcelPolicy Policy,
                              Ctx.template outerRead<uint64_t>(At), I));
         }
       });
-  for (uint32_t Shard = 0; Shard != NumShards; ++Shard)
+  for (uint32_t Shard = 0; Shard != Shards; ++Shard)
     EXPECT_EQ(NextStage[Shard], NumStages + 1)
         << "shard " << Shard << " did not run every stage exactly once";
   Out.resize(Count);
@@ -92,6 +98,58 @@ JobRunStats runPipeline(Machine &M, ParcelPolicy Policy,
     Out[I] = M.hostRead<uint64_t>((Data + I).addr());
   return Stats;
 }
+
+/// Every parcel send one region made, keyed by the parcel's Seq: who
+/// sent it to whom, the spawner cycle it was issued at (ParcelSpawn)
+/// and the cycle it landed (ParcelDeliver).
+class ParcelLog : public DmaObserver {
+public:
+  struct Send {
+    unsigned Spawner = 0;
+    unsigned Recipient = 0;
+    uint64_t SpawnedAt = 0;
+    uint64_t LandedAt = 0;
+  };
+  std::map<uint64_t, Send> Sends;
+
+  void onDispatchEvent(const DispatchEvent &E) override {
+    if (E.Kind == DispatchEventKind::ParcelSpawn) {
+      Send &S = Sends[E.Seq];
+      S.Spawner = E.AccelId;
+      S.SpawnedAt = E.Cycle;
+    } else if (E.Kind == DispatchEventKind::ParcelDeliver) {
+      Send &S = Sends[E.Seq];
+      S.Recipient = E.AccelId;
+      S.LandedAt = E.Cycle;
+    }
+  }
+
+  /// The most sends \p Spawner ever had in flight at once, where a send
+  /// is in flight over [SpawnedAt, LandedAt).
+  unsigned maxInFlight(unsigned Spawner) const {
+    unsigned Max = 0;
+    for (const auto &[Seq, At] : Sends) {
+      if (At.Spawner != Spawner)
+        continue;
+      unsigned InFlight = 0;
+      for (const auto &[Seq2, S] : Sends)
+        if (S.Spawner == Spawner && S.SpawnedAt <= At.SpawnedAt &&
+            At.SpawnedAt < S.LandedAt)
+          ++InFlight;
+      Max = std::max(Max, InFlight);
+    }
+    return Max;
+  }
+
+  /// The last landing of \p Spawner's sends (of every send by default).
+  uint64_t lastLanding(unsigned Spawner = ~0u) const {
+    uint64_t Last = 0;
+    for (const auto &[Seq, S] : Sends)
+      if (Spawner == ~0u || S.Spawner == Spawner)
+        Last = std::max(Last, S.LandedAt);
+    return Last;
+  }
+};
 
 std::vector<uint64_t> referenceValues() {
   std::vector<uint64_t> Ref(Count, 0);
@@ -165,32 +223,94 @@ TEST(Parcel, StealPolicyDoesNotMoveADataflowRegion) {
   }
 }
 
-TEST(Parcel, SpawnCostsLandOnWorkerClocksNotTheHost) {
-  Machine M;
-  std::vector<uint64_t> Out;
-  JobRunStats Stats = runPipeline(M, ParcelPolicy::Ring, Out);
+TEST(Parcel, SpawnersPayTheIssueAndParcelsLandAfterTheirTransit) {
+  // A spawner issues the descriptor put and the fenced doorbell and
+  // moves on: it pays 2 x DmaIssueCycles per parcel, and the parcel
+  // lands parcelSendCycles later — on a flat machine, and on a
+  // two-domain one whose Ring edges 2->3 and 5->0 pay the interconnect
+  // premiums in transit, not on the spawner's clock. Twelve parcels over
+  // six spawners never fill the in-flight window, so nothing stalls.
+  for (unsigned PerDomain : {0u, 3u}) {
+    SCOPED_TRACE(testing::Message() << "per-domain " << PerDomain);
+    MachineConfig Cfg;
+    Cfg.AcceleratorsPerDomain = PerDomain;
+    if (PerDomain != 0) {
+      Cfg.InterDomainDoorbellCycles = 2000;
+      Cfg.InterDomainDescriptorDmaCycles = 8000;
+    }
+    Machine M(Cfg);
+    ParcelLog Log;
+    M.addObserver(&Log);
+    std::vector<uint64_t> Out;
+    JobRunStats Stats = runPipeline(M, ParcelPolicy::Ring, Out);
+    EXPECT_EQ(Out, referenceValues());
 
-  // Every spawn pays the peer doorbell plus the descriptor copy, on the
-  // spawner's clock; the machine-wide counters agree with the stats.
-  const MachineConfig &Cfg = M.config();
-  uint64_t ExpectedCost = Stats.ParcelsSpawned *
-                          (Cfg.PeerDoorbellCycles +
-                           Cfg.PeerDescriptorDmaCycles);
-  EXPECT_EQ(Stats.PeerDoorbellCycles, ExpectedCost);
-  uint64_t WorkerParcels = 0, WorkerPeerCycles = 0;
-  for (unsigned A = 0; A != M.numAccelerators(); ++A) {
-    WorkerParcels += M.accel(A).Counters.ParcelsSpawned;
-    WorkerPeerCycles += M.accel(A).Counters.PeerDoorbellCycles;
+    EXPECT_EQ(Stats.PeerDoorbellCycles,
+              Stats.ParcelsSpawned * 2 * MachineConfig::DmaIssueCycles);
+    uint64_t WorkerParcels = 0, WorkerPeerCycles = 0;
+    for (unsigned A = 0; A != M.numAccelerators(); ++A) {
+      WorkerParcels += M.accel(A).Counters.ParcelsSpawned;
+      WorkerPeerCycles += M.accel(A).Counters.PeerDoorbellCycles;
+    }
+    EXPECT_EQ(WorkerParcels, Stats.ParcelsSpawned);
+    EXPECT_EQ(WorkerPeerCycles, Stats.PeerDoorbellCycles);
+
+    ASSERT_EQ(Log.Sends.size(), Stats.ParcelsSpawned);
+    unsigned CrossDomain = 0;
+    for (const auto &[Seq, S] : Log.Sends) {
+      EXPECT_EQ(S.LandedAt,
+                S.SpawnedAt + Cfg.parcelSendCycles(S.Spawner, S.Recipient))
+          << "parcel " << Seq;
+      CrossDomain += !Cfg.sameDomain(S.Spawner, S.Recipient);
+    }
+    EXPECT_EQ(CrossDomain != 0, PerDomain != 0);
+
+    // The host paid ordinary doorbells for the seeds it dispatched and
+    // nothing for the continuations.
+    EXPECT_EQ(M.hostCounters().ParcelsSpawned, 0u);
+    EXPECT_EQ(M.hostCounters().PeerDoorbellCycles, 0u);
+    uint64_t SeedDoorbells = 0;
+    for (unsigned W = 0; W != Stats.Seeds; ++W)
+      SeedDoorbells += Cfg.hostDoorbellCycles(W % M.numAccelerators());
+    EXPECT_EQ(M.hostCounters().DoorbellCycles, SeedDoorbells);
+    M.removeObserver(&Log);
   }
-  EXPECT_EQ(WorkerParcels, Stats.ParcelsSpawned);
-  EXPECT_EQ(WorkerPeerCycles, Stats.PeerDoorbellCycles);
+}
 
-  // The host paid ordinary doorbells for the seeds it dispatched and
-  // nothing for the continuations.
-  EXPECT_EQ(M.hostCounters().ParcelsSpawned, 0u);
-  EXPECT_EQ(M.hostCounters().PeerDoorbellCycles, 0u);
-  EXPECT_EQ(M.hostCounters().DoorbellCycles,
-            uint64_t(Stats.Seeds) * Cfg.MailboxDoorbellCycles);
+TEST(Parcel, InFlightSendsStayWithinTheirShareOfTheMfcQueue) {
+  // One-index shards give every spawner dozens of parcels, and a
+  // 100,000-cycle descriptor premium keeps the two cross-domain Ring
+  // edges' sends in flight long enough to fill the window: those
+  // spawners stall, never exceed ParcelSendsInFlight, and the region
+  // still computes the reference and ends after its last landing. Each
+  // spawner's block retires only once its own last send has landed.
+  MachineConfig Cfg;
+  Cfg.AcceleratorsPerDomain = 3;
+  Cfg.InterDomainDescriptorDmaCycles = 100000;
+  Machine M(Cfg);
+  ParcelLog Log;
+  M.addObserver(&Log);
+  std::vector<uint64_t> Out;
+  uint64_t Start = M.hostClock().now();
+  JobRunStats Stats = runPipeline(M, ParcelPolicy::Ring, Out, 1);
+  M.removeObserver(&Log);
+  EXPECT_EQ(Out, referenceValues());
+  ASSERT_EQ(Log.Sends.size(), Stats.ParcelsSpawned);
+
+  unsigned Widest = 0;
+  for (unsigned A = 0; A != M.numAccelerators(); ++A) {
+    EXPECT_LE(Log.maxInFlight(A), MachineConfig::ParcelSendsInFlight)
+        << "spawner " << A;
+    Widest = std::max(Widest, Log.maxInFlight(A));
+    EXPECT_GE(M.accel(A).FreeAt, Log.lastLanding(A)) << "spawner " << A;
+  }
+  EXPECT_EQ(Widest, MachineConfig::ParcelSendsInFlight);
+
+  uint64_t Issue = Stats.ParcelsSpawned * MachineConfig::ParcelIssueCycles;
+  ASSERT_GE(Stats.PeerDoorbellCycles, Issue);
+  EXPECT_GT(Stats.PeerDoorbellCycles - Issue, 0u) << "no spawner stalled";
+  EXPECT_GE(Start + Stats.MakespanCycles, Log.lastLanding());
+  EXPECT_GE(M.hostClock().now(), Log.lastLanding());
 }
 
 TEST(Parcel, NonePolicyWithStagesRunsOnlyStageOne) {
