@@ -18,12 +18,12 @@
 //   - exits 2 when zero benchmarks ran (a vacuous --filter must not
 //     write an empty JSON that passes every downstream gate).
 //
-// tools/sweeprun shards rows of one binary across host processes and
-// reassembles the per-row JSON byte-identically, which rests on two
-// invariants of this file: rows appear in the JSON in registration
-// order (the exact order --list prints), and each row's bytes depend
-// only on that row's own deterministic run (see BenchUtil.h for the
-// row-independence contract the bench bodies uphold).
+// A filtered run is comparable to a committed full-sweep snapshot row
+// for row, which rests on two invariants of this file: rows appear in
+// the JSON in registration order (the exact order --list prints), and
+// each row's bytes depend only on that row's own deterministic run (see
+// BenchUtil.h for the row-independence contract the bench bodies
+// uphold).
 //
 //===----------------------------------------------------------------------===//
 
@@ -144,9 +144,8 @@ void parseOwnFlags(int &Argc, char **Argv) {
       ListMode = true;
       Rewrite("--benchmark_list_tests=true");
     } else if (Arg.rfind("--benchmark_list_tests", 0) == 0) {
-      // The native spelling counts as list mode too (tools/sweeprun
-      // enumerates rows this way); "=false" is the only way to spell
-      // the flag without meaning it.
+      // The native spelling counts as list mode too; "=false" is the
+      // only way to spell the flag without meaning it.
       ListMode = Arg.find("=false") == std::string::npos;
       Argv[Out++] = Argv[I];
     } else if (const char *V = Value("--filter")) {

@@ -22,9 +22,9 @@
 ///     references like E11's clean-run calibration are fine — they
 ///     reproduce identically in any process). No row may observe
 ///     whether, or in what order, other rows ran. This is the
-///     contract that lets tools/sweeprun farm rows across host
-///     processes and merge the per-row JSON byte-identically to a
-///     serial run, and it is enforced by the sweep_determinism ctest.
+///     contract that makes a --filter run print, for each of its rows,
+///     the bytes the full sweep prints, so a subset is comparable to a
+///     committed snapshot; the bench_cli_test ctest checks it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -81,8 +81,8 @@ inline void reportCyclePercentiles(benchmark::State &State,
 /// Reports a row's 64-bit world/run checksum as a `checksum` counter,
 /// folded to the 32 bits a JSON double carries exactly. The benches
 /// already abort on any internal checksum divergence; exporting the
-/// value additionally lets tools/sweeprun's determinism harness
-/// cross-check serial and sharded runs row-by-row at the semantic
+/// value additionally pins the simulated state in the committed
+/// snapshots, so a snapshot comparison checks it at the semantic
 /// level, on top of the byte-level JSON comparison.
 inline void reportChecksum(benchmark::State &State, uint64_t Checksum) {
   State.counters["checksum"] = static_cast<double>(

@@ -159,7 +159,9 @@ void BM_CacheGeometry(benchmark::State &State) {
 void BM_WorkDistribution(benchmark::State &State) {
   // Static contiguous split (parallelForRange) vs dynamic job queue
   // (distributeJobs) under uniform and skewed per-item costs: the
-  // scheduling decision behind "parallel, distinct tasks".
+  // scheduling decision behind "parallel, distinct tasks". Dynamic rows
+  // also run the static split as a per-row reference and report
+  // win_vs_static = static cycles / dynamic cycles.
   bool Dynamic = State.range(0) != 0;
   bool Skewed = State.range(1) != 0;
   constexpr uint32_t Count = 1200;
@@ -168,25 +170,27 @@ void BM_WorkDistribution(benchmark::State &State) {
       return 600;
     return Index > Count - Count / 8 ? 12000 : 200;
   };
-  for (auto _ : State) {
+  auto Body = [&](offload::OffloadContext &Ctx, uint32_t Begin,
+                  uint32_t End) {
+    for (uint32_t I = Begin; I != End; ++I)
+      Ctx.compute(CostOf(I));
+  };
+  auto RunSplit = [&](bool UseQueue) {
     Machine M;
     uint64_t Start = M.globalTime();
-    if (Dynamic) {
-      offload::distributeJobs(
-          M, Count, {.ChunkSize = 8},
-          [&](offload::OffloadContext &Ctx, uint32_t Begin, uint32_t End) {
-            for (uint32_t I = Begin; I != End; ++I)
-              Ctx.compute(CostOf(I));
-          });
-    } else {
-      offload::parallelForRange(
-          M, Count,
-          [&](offload::OffloadContext &Ctx, uint32_t Begin, uint32_t End) {
-            for (uint32_t I = Begin; I != End; ++I)
-              Ctx.compute(CostOf(I));
-          });
-    }
-    reportSimCycles(State, M.globalTime() - Start);
+    if (UseQueue)
+      offload::distributeJobs(M, Count, {.ChunkSize = 8}, Body);
+    else
+      offload::parallelForRange(M, Count, Body);
+    return M.globalTime() - Start;
+  };
+  for (auto _ : State) {
+    uint64_t Cycles = RunSplit(Dynamic);
+    reportSimCycles(State, Cycles);
+    if (Dynamic)
+      State.counters["win_vs_static"] =
+          static_cast<double>(RunSplit(false)) /
+          static_cast<double>(Cycles);
   }
 }
 

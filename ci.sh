@@ -6,45 +6,38 @@
 #
 # Usage: ./ci.sh [jobs]
 #
-# Six stages, all must be green:
+# Five stages, all must be green:
 #   1. build/      — the tier-1 configuration (RelWithDebInfo, asserts
 #                    on, warnings promoted to errors), everything
-#                    except the `soak` label (includes the sweep-runner
-#                    byte-identity and bench-toolchain tests)
-#   2. bench smoke — tiny E10 + E11 + E12 + E13 + E15 + E16 runs through
-#                    tools/sweeprun (the parallel sweep runner CI and
-#                    developers share): the benches abort on any
-#                    checksum divergence, and bench_summary.py asserts
-#                    the finest-chunk speedup floor (E10), the p99
-#                    frame-cycle tail against the committed baseline
-#                    (E11), the work-stealing p99 win floor (E12), the
-#                    parcel-dataflow frame-cycle win over the
-#                    host-staged schedule, flat and across two domains
-#                    (E13), and the multi-tenant
-#                    isolation ceiling — a hang or straggler in one
-#                    tenant may not move the other tenants' pooled p99
-#                    by more than 5% (E15), and the domain-aware
-#                    stealing win over domain-oblivious stealing (E16);
-#                    per-shard logs land in build/bench/sweep-logs/ for
-#                    failure triage
-#   3. snapshots   — every bench's full sweep regenerated through
+#                    except the `soak` label (includes the bench
+#                    toolchain tests: the bench_summary gate tool and
+#                    the bench CLI's row-independence contract)
+#   2. snapshots   — every bench binary's full sweep, run once through
 #                    tools/refresh_baselines into build/bench/regen/;
 #                    each committed BENCH_baseline/*.json must match
-#                    its regenerated twin byte for byte, and the
-#                    paper's Figure-2 shape is gated on the regenerated
-#                    E2 rows: speedup_vs_host >= 1.4 for the Figure-2
-#                    frame at 1000 entities and 60-cycle AI nodes
-#                    (measured 1.484), and >= 2.5 for AI spread over
-#                    six accelerators at 240-cycle nodes (measured 2.698)
-#   4. two-clock   — one short perfbench/run.py dispatch_storm run: it
+#                    its regenerated twin byte for byte (the benches
+#                    also abort on any checksum divergence), then
+#                    bench_summary.py gates the paper's claims on the
+#                    regenerated rows: the Figure-2 offload speedups
+#                    (E2), the dynamic split's win over the static one
+#                    under skew (E8), the finest-chunk speedup floor
+#                    (E10), the p99 frame-cycle tail against the
+#                    committed baseline (E11), the work-stealing p99
+#                    win floor (E12), the parcel-dataflow frame-cycle
+#                    win over the host-staged schedule, flat and across
+#                    two domains (E13), the multi-tenant isolation
+#                    ceiling — a hang or straggler in one tenant may
+#                    not move the other tenants' pooled p99 by more
+#                    than 5% (E15) — and the domain-aware stealing win
+#                    over domain-oblivious stealing (E16)
+#   3. two-clock   — one short perfbench/run.py dispatch_storm run: it
 #                    builds perfbench/twoclock into build/perfbench/ and
 #                    fails on a wrong output word, a simulated-cycle
 #                    value that moved since the last run of the same
 #                    sources, or a self-test that no longer catches
 #                    either
-#   5. build-asan/ — the same tests under AddressSanitizer + UBSanitizer
-#   6. soak        — the long randomised fault-injection endurance runs
-#                    (including the full-grid sweep determinism soak),
+#   4. build-asan/ — the same tests under AddressSanitizer + UBSanitizer
+#   5. soak        — the long randomised fault-injection endurance runs,
 #                    under the sanitizer build where their randomly
 #                    killed workers are most likely to expose leaks
 #
@@ -60,131 +53,15 @@ cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOMM_WERROR=ON
 cmake --build build -j "$JOBS"
 ctest --test-dir build -LE soak --output-on-failure -j "$JOBS"
 
-# The smoke runs all go through tools/sweeprun: rows fan out across
-# $JOBS host processes and the merged JSON is byte-identical to a
-# serial run (the sweep_determinism ctest in stage 1 enforces that),
-# so the gates below see exactly the bytes the old serial smoke saw.
-SWEEP_LOGS=build/bench/sweep-logs
-
-echo "=== bench smoke: persistent workers (E10, via tools/sweeprun) ==="
-python3 tools/sweeprun --jobs "$JOBS" \
-    --filter 'chunk_elems:1/|KilledWorkers' \
-    --out build/bench/BENCH_e10_smoke.json --log-dir "$SWEEP_LOGS/e10" \
-    build/bench/bench_e10_persistent_workers
-python3 tools/bench_summary.py build/bench/BENCH_e10_smoke.json \
-    --baseline BENCH_baseline --counters speedup_vs_launch,requeued
-python3 tools/bench_summary.py build/bench/BENCH_e10_smoke.json \
-    --filter 'PersistentWorkers/chunk_elems:1/' \
-    --require speedup_vs_launch '>=' 2.0
-
-echo "=== bench smoke: watchdog deadlines (E11, via tools/sweeprun) ==="
-python3 tools/sweeprun --jobs "$JOBS" \
-    --filter 'straggler_pm:50/|HungWorkers' \
-    --out build/bench/BENCH_e11_smoke.json --log-dir "$SWEEP_LOGS/e11" \
-    build/bench/bench_e11_deadlines
-python3 tools/bench_summary.py build/bench/BENCH_e11_smoke.json \
-    --baseline BENCH_baseline \
-    --counters p99_cycles,stragglers,spec_redispatches
-# The gate is scoped to the rows this smoke run produced: with
-# --require, bench_summary also fails on baseline rows missing from
-# the candidate, so an unfiltered gate over a filtered run would trip.
-python3 tools/bench_summary.py build/bench/BENCH_e11_smoke.json \
-    --baseline BENCH_baseline --filter 'straggler_pm:50/|HungWorkers' \
-    --require p99_cycles '<=+5%' baseline
-
-echo "=== bench smoke: work stealing (E12, via tools/sweeprun) ==="
-python3 tools/sweeprun --jobs "$JOBS" \
-    --filter 'policy:2' \
-    --out build/bench/BENCH_e12_smoke.json --log-dir "$SWEEP_LOGS/e12" \
-    build/bench/bench_e12_work_stealing
-python3 tools/bench_summary.py build/bench/BENCH_e12_smoke.json \
-    --baseline BENCH_baseline \
-    --counters p99_cycles,steals_succeeded,descriptors_stolen
-python3 tools/bench_summary.py build/bench/BENCH_e12_smoke.json \
-    --filter 'SkewedChunks/hot_mult:32/policy:2' \
-    --require p99_win_vs_none '>=' 1.3
-python3 tools/bench_summary.py build/bench/BENCH_e12_smoke.json \
-    --filter 'StragglerSteal' \
-    --require p99_win_vs_none '>=' 1.3
-
-echo "=== bench smoke: parcel dataflow (E13, via tools/sweeprun) ==="
-python3 tools/sweeprun --jobs "$JOBS" \
-    --filter 'FrameSchedule|TwoDomainPipeline' \
-    --out build/bench/BENCH_e13_smoke.json --log-dir "$SWEEP_LOGS/e13" \
-    build/bench/bench_e13_parcels
-python3 tools/bench_summary.py build/bench/BENCH_e13_smoke.json \
-    --baseline BENCH_baseline --filter 'FrameSchedule|TwoDomainPipeline' \
-    --counters win_vs_staged,host_round_trips_eliminated
-# The headline claim: once every worker seeds a continuation chain,
-# the dataflow frame beats the host-staged schedule outright.  The
-# sim is deterministic, so an exact >= 1.0 floor is stable.
-python3 tools/bench_summary.py build/bench/BENCH_e13_smoke.json \
-    --filter 'FrameSchedule/workers:4/dataflow:1' \
-    --require win_vs_staged '>=' 1.0
-python3 tools/bench_summary.py build/bench/BENCH_e13_smoke.json \
-    --filter 'FrameSchedule/workers:6/dataflow:1' \
-    --require win_vs_staged '>=' 1.0
-python3 tools/bench_summary.py build/bench/BENCH_e13_smoke.json \
-    --filter 'FrameSchedule/workers:6/dataflow:1' \
-    --require host_round_trips_eliminated '>' 0
-# Cross-domain parcels: on two domains of three cores with interconnect
-# premiums, the dataflow pipeline still beats the staged one only
-# because parcel transit overlaps the spawner's next descriptor
-# (measured 1.102; a spawner that waited out each send read 0.805).
-python3 tools/bench_summary.py build/bench/BENCH_e13_smoke.json \
-    --filter 'TwoDomainPipeline/stages:4' \
-    --require win_vs_staged '>=' 1.0
-
-echo "=== bench smoke: multi-tenant serving (E15, via tools/sweeprun) ==="
-python3 tools/sweeprun --jobs "$JOBS" \
-    --filter 'FaultIsolation|tenants:4/' \
-    --out build/bench/BENCH_e15_smoke.json --log-dir "$SWEEP_LOGS/e15" \
-    build/bench/bench_e15_multi_tenant
-python3 tools/bench_summary.py build/bench/BENCH_e15_smoke.json \
-    --baseline BENCH_baseline \
-    --counters p99_cycles,p99_unaffected_ratio,cores_recycled
-# The isolation gate: a hang or an 8x straggler buried inside tenant
-# 0's slices may not move the OTHER tenants' pooled p99 frame cycles
-# by more than 5% over the fault-free run (the bench itself aborts on
-# any checksum divergence, so state isolation is already proven by the
-# rows existing at all).
-python3 tools/bench_summary.py build/bench/BENCH_e15_smoke.json \
-    --filter 'FaultIsolation/fault_kind:1/quarantine:0' \
-    --require p99_unaffected_ratio '<=' 1.05
-python3 tools/bench_summary.py build/bench/BENCH_e15_smoke.json \
-    --filter 'FaultIsolation/fault_kind:2/quarantine:0' \
-    --require p99_unaffected_ratio '<=' 1.05
-
-echo "=== bench smoke: accelerator domains (E16, via tools/sweeprun) ==="
-# FlatIdentity rows abort on any divergence from the premium-free flat
-# run, so the determinism contract rides along with the smoke.
-python3 tools/sweeprun --jobs "$JOBS" \
-    --filter 'penalty:128000|hot_mult:16|FlatIdentity' \
-    --out build/bench/BENCH_e16_smoke.json --log-dir "$SWEEP_LOGS/e16" \
-    build/bench/bench_e16_domains
-python3 tools/bench_summary.py build/bench/BENCH_e16_smoke.json \
-    --baseline BENCH_baseline \
-    --counters p99_cycles,domain_win_vs_oblivious,steals_remote_domain
-# The placement gate: at a punitive interconnect premium the
-# domain-aware policy must beat the best domain-oblivious stealing
-# policy by 10% on p99 frame cycles, on both the penalty sweep and the
-# skew sweep. The gate is scoped to the rows this smoke run produced:
-# with --require, bench_summary also fails on baseline rows missing
-# from the candidate.
-python3 tools/bench_summary.py build/bench/BENCH_e16_smoke.json \
-    --filter 'DomainPenalty/penalty:128000/policy:3' \
-    --require domain_win_vs_oblivious '>=' 1.1
-python3 tools/bench_summary.py build/bench/BENCH_e16_smoke.json \
-    --filter 'DomainSkew/hot_mult:16/policy:3' \
-    --require domain_win_vs_oblivious '>=' 1.1
-
-echo "=== snapshots: every committed baseline regenerates exactly ==="
-python3 tools/refresh_baselines --jobs "$JOBS" \
-    --baseline-dir build/bench/regen
+echo "=== snapshots: every bench runs once; committed baselines match ==="
+REGEN=build/bench/regen
+python3 tools/refresh_baselines --jobs "$JOBS" --baseline-dir "$REGEN"
 SNAPSHOT_DRIFT=0
 for SNAPSHOT in BENCH_baseline/*.json; do
-    if ! cmp "$SNAPSHOT" "build/bench/regen/$(basename "$SNAPSHOT")"; then
+    if ! cmp "$SNAPSHOT" "$REGEN/$(basename "$SNAPSHOT")"; then
         echo "snapshot drift: $SNAPSHOT" >&2
+        python3 tools/bench_summary.py "$REGEN/$(basename "$SNAPSHOT")" \
+            --baseline BENCH_baseline
         SNAPSHOT_DRIFT=1
     fi
 done
@@ -192,17 +69,88 @@ if [ "$SNAPSHOT_DRIFT" -ne 0 ]; then
     echo "regenerate with tools/refresh_baselines and review the diff" >&2
     exit 1
 fi
+
+# gate EXPERIMENT ARGS... — a bench_summary.py gate on the rows the
+# snapshot stage just regenerated.
+gate() {
+    python3 tools/bench_summary.py "$REGEN/$1.json" "${@:2}"
+}
+
 # The paper's headline claim (Figure 2): offloading AI shortens the
 # frame by about half at 1000 entities, and spreading the AI over all
 # six accelerators wins more once AI dominates the frame. Floors sit
 # under the measured 1.484 and 2.698, so a snapshot refresh cannot
 # silently lose the shape.
-python3 tools/bench_summary.py build/bench/regen/e2_offload_frame.json \
+gate e2_offload_frame \
     --filter 'par6_2:[01]/entities:1000/ai_node_cost:60/' \
     --require speedup_vs_host '>=' 1.4
-python3 tools/bench_summary.py build/bench/regen/e2_offload_frame.json \
+gate e2_offload_frame \
     --filter 'par6_2:2/entities:1000/ai_node_cost:240/' \
     --require speedup_vs_host '>=' 2.5
+
+# Under skewed per-item costs the dynamic job queue beats the static
+# contiguous split (measured 4.62).
+gate e8_ablations \
+    --filter 'WorkDistribution/dynamic:1/skewed:1/' \
+    --require win_vs_static '>=' 4.0
+
+gate e10_persistent_workers \
+    --filter 'PersistentWorkers/chunk_elems:1/' \
+    --require speedup_vs_launch '>=' 2.0
+
+gate e11_deadlines \
+    --baseline BENCH_baseline --filter 'straggler_pm:50/|HungWorkers' \
+    --require p99_cycles '<=+5%' baseline
+
+gate e12_work_stealing \
+    --filter 'SkewedChunks/hot_mult:32/policy:2' \
+    --require p99_win_vs_none '>=' 1.3
+gate e12_work_stealing \
+    --filter 'StragglerSteal/.*policy:2' \
+    --require p99_win_vs_none '>=' 1.3
+
+# The dataflow headline: once every worker seeds a continuation chain,
+# the dataflow frame beats the host-staged schedule outright. The sim
+# is deterministic, so an exact >= 1.0 floor is stable.
+gate e13_parcels \
+    --filter 'FrameSchedule/workers:4/dataflow:1' \
+    --require win_vs_staged '>=' 1.0
+gate e13_parcels \
+    --filter 'FrameSchedule/workers:6/dataflow:1' \
+    --require win_vs_staged '>=' 1.0
+gate e13_parcels \
+    --filter 'FrameSchedule/workers:6/dataflow:1' \
+    --require host_round_trips_eliminated '>' 0
+# Cross-domain parcels: on two domains of three cores with interconnect
+# premiums, the dataflow pipeline still beats the staged one only
+# because parcel transit overlaps the spawner's next descriptor
+# (measured 1.102; a spawner that waited out each send read 0.805).
+gate e13_parcels \
+    --filter 'TwoDomainPipeline/stages:4' \
+    --require win_vs_staged '>=' 1.0
+
+# The isolation gate: a hang or an 8x straggler buried inside tenant
+# 0's slices may not move the OTHER tenants' pooled p99 frame cycles
+# by more than 5% over the fault-free run (the bench itself aborts on
+# any checksum divergence, so state isolation is already proven by the
+# rows existing at all).
+gate e15_multi_tenant \
+    --filter 'FaultIsolation/fault_kind:1/quarantine:0' \
+    --require p99_unaffected_ratio '<=' 1.05
+gate e15_multi_tenant \
+    --filter 'FaultIsolation/fault_kind:2/quarantine:0' \
+    --require p99_unaffected_ratio '<=' 1.05
+
+# The placement gate: at a punitive interconnect premium the
+# domain-aware policy must beat the best domain-oblivious stealing
+# policy by 10% on p99 frame cycles, on both the penalty sweep and the
+# skew sweep.
+gate e16_domains \
+    --filter 'DomainPenalty/penalty:128000/policy:3' \
+    --require domain_win_vs_oblivious '>=' 1.1
+gate e16_domains \
+    --filter 'DomainSkew/hot_mult:16/policy:3' \
+    --require domain_win_vs_oblivious '>=' 1.1
 
 echo "=== two-clock: perfbench build, output, determinism and self-test ==="
 CARGO_TARGET_DIR=build/perfbench python3 perfbench/run.py \
